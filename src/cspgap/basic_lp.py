@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import lp
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
     Instance,
     brute_force_opt,
     csp_value,
+    tuple_to_digits,
     width,
 )
 from .errors import InternalError, ValidationError
@@ -53,6 +55,23 @@ class LocalDistributionSolution:
         }
 
 
+@lru_cache(maxsize=None)
+def _position_ranks(q: int, k: int) -> tuple:
+    """Ranks in [q]^k by position and symbol: [pos][symbol] -> ranks with that symbol there.
+
+    Summing a rank-indexed mass vector over one entry gives one positional
+    marginal; these are also the LP columns of one consistency row.
+    """
+    size = q**k
+    return tuple(
+        tuple(
+            tuple(r for r in range(size) if (r // q ** (k - 1 - pos)) % q == symbol)
+            for symbol in range(q)
+        )
+        for pos in range(k)
+    )
+
+
 def verify_local_solution(inst: Instance, sol: LocalDistributionSolution) -> None:
     """Exact feasibility and objective check; raises ValidationError on any miss."""
     q, k = inst.family.q, inst.family.k
@@ -70,6 +89,7 @@ def verify_local_solution(inst: Instance, sol: LocalDistributionSolution) -> Non
             raise ValidationError(f"marginal of variable {i + 1} does not sum to 1")
     objective = Fraction(0)
     weight_total = inst.total_weight
+    position_ranks = _position_ranks(q, k)
     for ci, constraint in enumerate(inst.constraints):
         masses = sol.locals_[ci]
         if len(masses) != size:
@@ -79,16 +99,9 @@ def verify_local_solution(inst: Instance, sol: LocalDistributionSolution) -> Non
         if sum(masses) != 1:
             raise ValidationError(f"local distribution {ci} does not sum to 1")
         pred = inst.family[constraint.predicate]
-        for pos in range(k):
-            stride = q ** (k - 1 - pos)
-            variable = constraint.variables[pos]
-            for symbol in range(q):
-                slice_sum = sum(
-                    masses[rank]
-                    for rank in range(size)
-                    if (rank // stride) % q == symbol
-                )
-                if slice_sum != sol.marginals[variable - 1][symbol]:
+        for pos, variable in enumerate(constraint.variables):
+            for symbol, ranks in enumerate(position_ranks[pos]):
+                if sum(masses[rank] for rank in ranks) != sol.marginals[variable - 1][symbol]:
                     raise ValidationError(
                         f"constraint {ci} position {pos} disagrees with the"
                         f" marginal of variable {variable} at symbol {symbol}"
@@ -99,25 +112,6 @@ def verify_local_solution(inst: Instance, sol: LocalDistributionSolution) -> Non
         raise ValidationError(
             f"stated objective {sol.value} differs from recomputed {objective}"
         )
-
-
-def _x_label(i: int, b: int) -> str:
-    return f"x[{i},{b}]"
-
-
-def _y_label(ci: int, digits: str) -> str:
-    return f"y[{ci},{digits}]"
-
-
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def _rank_digits(rank: int, q: int, k: int) -> str:
-    out = []
-    for _ in range(k):
-        rank, d = divmod(rank, q)
-        out.append(_DIGITS[d])
-    return "".join(reversed(out))
 
 
 def build_basic_lp(inst: Instance) -> lp.LpProblem:
@@ -135,9 +129,9 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
     num_x = n * q
     num_vars = num_x + inst.m * size
 
-    labels = [_x_label(i, b) for i in range(1, n + 1) for b in range(q)]
-    for ci in range(1, inst.m + 1):
-        labels.extend(_y_label(ci, _rank_digits(r, q, k)) for r in range(size))
+    spelled = [tuple_to_digits(fam.predicates[0].tuple_of(r)) for r in range(size)]
+    labels = [f"x[{i},{b}]" for i in range(1, n + 1) for b in range(q)]
+    labels += [f"y[{ci},{digits}]" for ci in range(1, inst.m + 1) for digits in spelled]
 
     objective = [Fraction(0)] * num_vars
     weight_total = inst.total_weight
@@ -159,16 +153,14 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
         rows.append(tuple(row))
         rhs.append(Fraction(1))
     one = Fraction(1)
+    position_ranks = _position_ranks(q, k)
     for ci, constraint in enumerate(inst.constraints):
         base = num_x + ci * size
-        for pos in range(k):
-            stride = q ** (k - 1 - pos)
-            variable = constraint.variables[pos]
-            for symbol in range(q):
+        for pos, variable in enumerate(constraint.variables):
+            for symbol, ranks in enumerate(position_ranks[pos]):
                 row = zero_row[:]
-                for rank in range(size):
-                    if (rank // stride) % q == symbol:
-                        row[base + rank] = one
+                for rank in ranks:
+                    row[base + rank] = one
                 row[(variable - 1) * q + symbol] = -one
                 rows.append(tuple(row))
                 rhs.append(Fraction(0))
@@ -176,18 +168,14 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
 
 
 def decode_primal(inst: Instance, primal: dict, value: Fraction) -> LocalDistributionSolution:
-    """Turn a labeled primal vector back into verified local distributions."""
-    fam = inst.family
-    q, k = fam.q, fam.k
-    size = q**k
-    marginals = tuple(
-        tuple(primal[_x_label(i, b)] for b in range(q)) for i in range(1, inst.n + 1)
-    )
+    """Slice a primal vector, in `build_basic_lp` column order, into verified distributions."""
+    q = inst.family.q
+    size = q**inst.family.k
+    num_x = inst.n * q
+    values = tuple(primal.values())
+    marginals = tuple(values[start:start + q] for start in range(0, num_x, q))
     locals_ = tuple(
-        tuple(
-            primal[_y_label(ci, _rank_digits(r, q, k))] for r in range(size)
-        )
-        for ci in range(1, inst.m + 1)
+        values[start:start + size] for start in range(num_x, len(values), size)
     )
     sol = LocalDistributionSolution(inst, locals_, marginals, value)
     try:
@@ -293,18 +281,12 @@ def lp_from_onewise(inst: Instance, witnesses: dict) -> LocalDistributionSolutio
             raise ValidationError(
                 f"witness for {name!r} puts mass on an unsatisfying tuple"
             )
-        for pos in range(k):
-            stride = q ** (k - 1 - pos)
-            for symbol in range(q):
-                marginal = sum(
-                    masses[rank]
-                    for rank in range(size)
-                    if (rank // stride) % q == symbol
-                )
-                if marginal != Fraction(1, q):
-                    raise ValidationError(
-                        f"witness for {name!r} has a non-uniform marginal"
-                    )
+        if any(
+            sum(masses[rank] for rank in ranks) != Fraction(1, q)
+            for by_symbol in _position_ranks(q, k)
+            for ranks in by_symbol
+        ):
+            raise ValidationError(f"witness for {name!r} has a non-uniform marginal")
         tables[name] = tuple(masses)
     locals_ = tuple(tables[c.predicate] for c in inst.constraints)
     sol = LocalDistributionSolution(

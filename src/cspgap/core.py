@@ -26,6 +26,20 @@ from .rationals import RAT, to_fraction
 # Ceiling on q**n for exhaustive assignment enumeration.
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
+# Symbols of [q] as written in files and LP labels; bounds q from above.
+DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def tuple_to_digits(values) -> str:
+    return "".join(DIGITS[v] for v in values)
+
+
+def digits_to_tuple(text: str, q: int) -> tuple:
+    values = tuple(DIGITS.find(ch) for ch in text)
+    if any(not 0 <= v < q for v in values):
+        raise ValidationError(f"digit string {text!r} is not base {q}")
+    return values
+
 
 @dataclass(frozen=True)
 class Predicate:
@@ -37,8 +51,10 @@ class Predicate:
     table: tuple
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValidationError(f"alphabet size must be >= 2, got {self.q}")
+        if not 2 <= self.q <= len(DIGITS):
+            raise ValidationError(
+                f"alphabet size must lie in [2, {len(DIGITS)}], got {self.q}"
+            )
         if self.k < 1:
             raise ValidationError(f"arity must be >= 1, got {self.k}")
         if not self.name:
@@ -264,19 +280,14 @@ def product_value(pred: Predicate, distribution) -> Fraction:
     return total
 
 
-def _simplex_lattice(q: int, denominator: int):
-    """All probability vectors over [q] with the given denominator, lex order."""
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
-
-    for counts in compositions(denominator, q):
-        yield counts
+def compositions(total: int, parts: int):
+    """All tuples of `parts` non-negative integers summing to `total`, lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
@@ -318,7 +329,7 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
 
     best_val = None
     best_point = None
-    for counts in _simplex_lattice(q, denominator):
+    for counts in compositions(denominator, q):
         val = family_min(counts, denominator)
         if best_val is None or val > best_val:
             best_val, best_point = val, counts
@@ -349,16 +360,20 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     return to_fraction(best_val)
 
 
+def constraint_universe(fam: PredicateFamily, n: int) -> tuple:
+    """All unit-weight constraints on n variables, in canonical order."""
+    return tuple(
+        Constraint(p.name, combo)
+        for p in fam.predicates
+        for combo in itertools.permutations(range(1, n + 1), fam.k)
+    )
+
+
 def complete_instance(fam: PredicateFamily, n: int) -> Instance:
     """Every predicate applied to every ordered tuple of distinct variables, unit weights."""
     if n < fam.k:
         raise ValidationError(f"need n >= k = {fam.k}, got {n}")
-    constraints = [
-        Constraint(p.name, combo)
-        for p in fam.predicates
-        for combo in itertools.permutations(range(1, n + 1), fam.k)
-    ]
-    return Instance(fam, n, tuple(constraints))
+    return Instance(fam, n, constraint_universe(fam, n))
 
 
 def rho_upper_empirical(
@@ -399,16 +414,12 @@ def rho_upper_empirical(
     while evaluated < budget:
         n = rng.randint(fam.k, n_max)
         if n not in universe_cache:
-            universe_cache[n] = [
-                (p.name, combo)
-                for p in fam.predicates
-                for combo in itertools.permutations(range(1, n + 1), fam.k)
-            ]
+            universe_cache[n] = constraint_universe(fam, n)
         universe = universe_cache[n]
         m = rng.randint(1, max(2, 2 * n))
         constraints = tuple(
-            Constraint(name, combo, rng.randint(1, 2))
-            for name, combo in (rng.choice(universe) for _ in range(m))
+            Constraint(c.predicate, c.variables, rng.randint(1, 2))
+            for c in (rng.choice(universe) for _ in range(m))
         )
         consider(Instance(fam, n, constraints))
     return best

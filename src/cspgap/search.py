@@ -31,10 +31,10 @@ from .basic_lp import (
 )
 from .core import (
     DEFAULT_ASSIGNMENT_BUDGET,
-    Constraint,
     Instance,
     PredicateFamily,
     brute_force_opt,
+    constraint_universe,
     csp_value,
 )
 from .errors import InternalError, ValidationError
@@ -88,15 +88,6 @@ class SearchConfig:
             raise ValidationError("budget must be positive")
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ValidationError(f"unknown mode {self.mode!r}")
-
-
-def constraint_universe(fam: PredicateFamily, n: int) -> tuple:
-    """All unit-weight constraints on n variables, in canonical order."""
-    return tuple(
-        Constraint(p.name, combo)
-        for p in fam.predicates
-        for combo in itertools.permutations(range(1, n + 1), fam.k)
-    )
 
 
 def enumerate_instances(cfg: SearchConfig):

@@ -6,6 +6,10 @@ digit strings in base q (digits 0-9a-z, so q <= 36), variable indices are
 1-based, and emitted JSON is canonical: sorted keys, two-space indent, one
 trailing newline.  Canonical output makes byte-identical reruns a testable
 contract.
+
+The tuple codec (`core.DIGITS`, `tuple_to_digits`, `digits_to_tuple`) lives
+in `core`, which the LP and witness layers share; the two functions are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -17,22 +21,10 @@ from fractions import Fraction
 
 from .basic_lp import LocalDistributionSolution, verify_local_solution
 from .core import Constraint, Instance, Predicate, PredicateFamily
+from .core import digits_to_tuple, tuple_to_digits
 from .errors import ValidationError
 from .rationals import format_rational, parse_rational
 from .witnesses import MarginalVector, PairDistribution, SymbolKernel
-
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def tuple_to_digits(values) -> str:
-    return "".join(_DIGITS[v] for v in values)
-
-
-def digits_to_tuple(text: str, q: int) -> tuple:
-    values = tuple(_DIGITS.index(ch) for ch in text)
-    if any(v >= q for v in values):
-        raise ValidationError(f"digit string {text!r} is not base {q}")
-    return values
 
 
 def canonical_dumps(data) -> str:
@@ -57,7 +49,7 @@ def family_from_dict(data: dict) -> PredicateFamily:
             Predicate(q, k, entry["name"], tuple(entry["table"]))
             for entry in data["predicates"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed family object: {exc!r}") from exc
     return PredicateFamily(predicates)
 
@@ -78,8 +70,8 @@ def instance_from_dict(data: dict, base_dir: str = ".") -> Instance:
     try:
         family_field = data["family"]
         n = int(data["n"])
-        raw_constraints = data["constraints"]
-    except (KeyError, TypeError) as exc:
+        raw_constraints = list(data["constraints"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance object: {exc!r}") from exc
     if isinstance(family_field, str):
         fam = load_family(os.path.join(base_dir, family_field))
@@ -91,7 +83,7 @@ def instance_from_dict(data: dict, base_dir: str = ".") -> Instance:
             name = entry["f"]
             variables = tuple(int(v) for v in entry["vars"])
             weight = int(entry.get("w", 1))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed constraint object: {exc!r}") from exc
         if weight == 0:
             warnings.warn(
@@ -127,7 +119,6 @@ def save_json(path: str, data: dict) -> None:
 
 def solution_to_dict(sol: LocalDistributionSolution) -> dict:
     inst = sol.instance
-    q, k = inst.family.q, inst.family.k
     locals_ = []
     for ci in range(inst.m):
         masses = sol.locals_[ci]
@@ -147,6 +138,7 @@ def solution_to_dict(sol: LocalDistributionSolution) -> dict:
 def solution_from_dict(data: dict, inst: Instance) -> LocalDistributionSolution:
     q, k = inst.family.q, inst.family.k
     size = q**k
+    ranker = inst.family.predicates[0]  # every predicate shares (q, k)
     try:
         value = parse_rational(data["objective"])
         marginals = tuple(
@@ -159,10 +151,7 @@ def solution_from_dict(data: dict, inst: Instance) -> LocalDistributionSolution:
                 values = digits_to_tuple(digits, q)
                 if len(values) != k:
                     raise ValidationError(f"tuple {digits!r} has wrong arity")
-                rank = 0
-                for v in values:
-                    rank = rank * q + v
-                masses[rank] = parse_rational(mass)
+                masses[ranker.index_of(values)] = parse_rational(mass)
             locals_.append(tuple(masses))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed solution object: {exc!r}") from exc

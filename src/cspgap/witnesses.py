@@ -26,10 +26,9 @@ from typing import Optional
 from . import lp
 from .basic_lp import LocalDistributionSolution, verify_local_solution
 from .core import Predicate, PredicateFamily, Instance, rho_product_lower, rho_upper_empirical
+from .core import compositions, tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
 from .rationals import RAT, to_fraction
-
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -191,23 +190,6 @@ def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
     return to_fraction(_KernelScorer(dist).score(rows))
 
 
-def _lattice_rows(q: int, denominator: int):
-    """All kernel rows with the given denominator, lexicographic order."""
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
-
-    return [
-        tuple(Fraction(c, denominator) for c in counts)
-        for counts in compositions(denominator, q)
-    ]
-
-
 def no_sup_search(
     dist: PairDistribution,
     budget: int = 160,
@@ -246,7 +228,9 @@ def no_sup_search(
             break
         score(SymbolKernel.deterministic(mapping).rows)
 
-    lattice = _lattice_rows(q, 4 if q == 2 else 2)
+    # every kernel row with denominator 4 (q = 2) or 2, lexicographic order
+    den = 4 if q == 2 else 2
+    lattice = [tuple(Fraction(c, den) for c in counts) for counts in compositions(den, q)]
     for combo in itertools.product(lattice, repeat=q):
         if state["evals"] >= budget:
             break
@@ -364,7 +348,7 @@ def onewise_support(pred: Predicate) -> OnewiseSupport:
     """
     q, k = pred.q, pred.k
     satisfying = pred.satisfying_tuples()
-    labels = tuple("m[" + "".join(_DIGITS[v] for v in a) + "]" for a in satisfying)
+    labels = tuple(f"m[{tuple_to_digits(a)}]" for a in satisfying)
     rows = []
     rhs = []
     for position in range(k):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import cspgap
 from cspgap import Constraint, Instance, LpProblem, cut_family, dicut_family
+from cspgap.core import constraint_universe
 
 
 def cycle_instance(n, fam=None, name="cut"):
@@ -23,19 +24,11 @@ def single_edge():
     return Instance(cut_family(), 2, (Constraint("cut", (1, 2)),))
 
 
-def constraint_universe(fam, n):
-    return [
-        (p.name, combo)
-        for p in fam.predicates
-        for combo in itertools.permutations(range(1, n + 1), fam.k)
-    ]
-
-
 def random_instance(rng, fam, n, m, max_weight=1):
     universe = constraint_universe(fam, n)
     constraints = tuple(
-        Constraint(name, combo, rng.randint(1, max_weight))
-        for name, combo in (rng.choice(universe) for _ in range(m))
+        Constraint(c.predicate, c.variables, rng.randint(1, max_weight))
+        for c in (rng.choice(universe) for _ in range(m))
     )
     return Instance(fam, n, constraints)
 

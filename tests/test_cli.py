@@ -121,6 +121,46 @@ def test_verify_tampered_certificate(triangle_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("section", ["locals", "yes_distribution"])
+def test_verify_rejects_non_digit_tuple_key(triangle_file, tmp_path, capsys, section):
+    cert_path = tmp_path / "cert.json"
+    main([
+        "gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3",
+        "--out", str(cert_path),
+    ])
+    capsys.readouterr()
+    data = json.loads(cert_path.read_text())
+    atoms = data["solution"]["locals"][0] if section == "locals" else data[section]
+    key = next(iter(atoms))
+    atoms[key[:-1] + ("!" if section == "locals" else "Z")] = atoms.pop(key)
+    cert_path.write_text(canonical_dumps(data))
+    assert main(["verify-cert", str(cert_path)]) == 2
+    assert "is not base 2" in capsys.readouterr().err
+
+
+def test_alphabet_beyond_digit_codec_is_operational_error(tmp_path, capsys):
+    # tuples are spelled as base-q digit strings over 0-9a-z, so q = 37 has no spelling
+    family = {"q": 37, "k": 1, "predicates": [{"name": "any", "table": [1] * 37}]}
+    instance = {"family": family, "n": 1, "constraints": [{"f": "any", "vars": [1]}]}
+    path = tmp_path / "q37.json"
+    path.write_text(canonical_dumps(instance))
+    assert main(["lp-solve", str(path)]) == 2
+    assert "alphabet size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("constraints", 5), ("n", "x")])
+def test_malformed_instance_field_is_operational_error(
+    triangle_file, capsys, field, value
+):
+    with open(triangle_file, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data[field] = value
+    with open(triangle_file, "w", encoding="utf-8") as handle:
+        handle.write(canonical_dumps(data))
+    assert main(["lp-solve", triangle_file]) == 2
+    assert "malformed instance object" in capsys.readouterr().err
+
+
 def test_gap_search_writes_certificate(cut_family_file, tmp_path):
     cert = tmp_path / "found.json"
     proc = run_cli([

@@ -1,0 +1,85 @@
+"""Output bytes pinned across commits.
+
+Byte-identical reruns of one build (criterion 10) do not catch a refactor
+that changes the bytes consistently on every run.  These SHA-256 digests
+were computed from the outputs of an earlier build; a change to the LP
+layout, its labels, the tuple codec or the certificate format shows up here
+as a digest mismatch.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from cspgap import Constraint, Instance, Predicate, PredicateFamily
+from cspgap.cli import main
+from cspgap.serialize import canonical_dumps, instance_to_dict
+
+
+def k4_coloring():
+    """q=3 inequality on the complete graph K4 (LP 1, optimum 5/6)."""
+    table = tuple(int(a != b) for a in range(3) for b in range(3))
+    fam = PredicateFamily((Predicate(3, 2, "neq", table),))
+    constraints = tuple(
+        Constraint("neq", pair) for pair in itertools.combinations(range(1, 5), 2)
+    )
+    return Instance(fam, 4, constraints)
+
+
+def ternary_mixed():
+    """q=2, k=3: not-all-equal and 3-OR on four variables, one weight 2."""
+    cube = list(itertools.product(range(2), repeat=3))
+    fam = PredicateFamily((
+        Predicate(2, 3, "nae", tuple(int(len(set(a)) > 1) for a in cube)),
+        Predicate(2, 3, "or3", tuple(int(any(a)) for a in cube)),
+    ))
+    constraints = (
+        Constraint("nae", (1, 2, 3)),
+        Constraint("or3", (2, 3, 4), 2),
+        Constraint("nae", (4, 1, 2)),
+    )
+    return Instance(fam, 4, constraints)
+
+
+INSTANCES = {"k4": k4_coloring, "ternary": ternary_mixed}
+
+DIGESTS = {
+    ("k4", "dump-lp"):
+        "67ebde6f0eeb54fd15fb944994ba93cd7ec6a5031405976fd019a26464df1dab",
+    ("k4", "lp-solve"):
+        "565d4a160b7654f39a46fead386fbeb9ad27dcda377dfad42327ac0d31a43d4c",
+    ("k4", "certificate"):
+        "ff0979bb9a698d2d918f041faa2851aeb903b5ba6e761f3080b7cd183e8917b0",
+    ("ternary", "dump-lp"):
+        "365483338bc263ae94b15272ca522e2594096052b78abcdab17876cf4245604c",
+    ("ternary", "lp-solve"):
+        "5ca8b6d3fabd50471e21a7a5a924575430fafbebea8229c1446e0fe8add5aa4c",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_instance(tmp_path, name) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(canonical_dumps(instance_to_dict(INSTANCES[name]())))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_lp_dump_and_full_solution_bytes(name, tmp_path, capsys):
+    path = write_instance(tmp_path, name)
+    dump = tmp_path / "dump.txt"
+    assert main(["lp-solve", path, "--full", "--json", "--dump-lp", str(dump)]) == 0
+    assert sha256(dump.read_bytes()) == DIGESTS[(name, "dump-lp")]
+    assert sha256(capsys.readouterr().out.encode()) == DIGESTS[(name, "lp-solve")]
+
+
+def test_k4_certificate_bytes(tmp_path):
+    cert = tmp_path / "cert.json"
+    argv = ["gap-check", write_instance(tmp_path, "k4"), "--gamma", "1", "--beta", "5/6",
+            "--out", str(cert)]
+    assert main(argv) == 0
+    assert sha256(cert.read_bytes()) == DIGESTS[("k4", "certificate")]

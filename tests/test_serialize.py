@@ -55,6 +55,9 @@ def test_digit_strings():
     assert digits_to_tuple("a1", 11) == (10, 1)
     with pytest.raises(ValidationError):
         digits_to_tuple("2", 2)
+    for text in ("0!", "A1"):
+        with pytest.raises(ValidationError):
+            digits_to_tuple(text, 36)
 
 
 def test_family_round_trip():
