@@ -246,10 +246,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ToolkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, ValidationError
-from .rationals import RAT, to_fraction
+from .rationals import to_fraction
 
 # Ceiling on q**n for exhaustive assignment enumeration.
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
@@ -312,9 +312,9 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     def family_min(weights, den):
         # weights: integer lattice counts; evaluates min_f E_{P^k}[f] exactly
         best = None
-        scale = RAT(1, den) ** k
+        scale = Fraction(1, den) ** k
         for tuples in sat:
-            acc = RAT(0)
+            acc = 0
             for a in tuples:
                 term = 1
                 for v in a:
@@ -357,7 +357,7 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
                     if val > best_val:
                         best_val, point = val, candidate
                         improved = True
-    return to_fraction(best_val)
+    return best_val
 
 
 def constraint_universe(fam: PredicateFamily, n: int) -> tuple:

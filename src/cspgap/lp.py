@@ -28,7 +28,7 @@ from math import comb
 from typing import Optional
 
 from .errors import BudgetError, InternalError, ValidationError
-from .rationals import RAT, format_rational, to_fraction
+from .rationals import format_rational, to_fraction
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -131,9 +131,9 @@ class _Tableau:
         for i in range(self.m):
             sign = 1 if problem.rhs[i] >= 0 else -1
             self.signs.append(sign)
-            row = [RAT(sign) * RAT(v) for v in problem.rows[i]]
-            row.extend(RAT(1) if j == i else RAT(0) for j in range(self.m))
-            row.append(RAT(sign) * RAT(problem.rhs[i]))
+            row = [sign * v for v in problem.rows[i]]
+            row.extend(Fraction(1) if j == i else Fraction(0) for j in range(self.m))
+            row.append(sign * problem.rhs[i])
             self.rows.append(row)
         self.basis = [self.n + i for i in range(self.m)]
         self.reduced = []
@@ -141,7 +141,7 @@ class _Tableau:
 
     def load_costs(self, costs):
         """Install a cost row and eliminate the current basic columns."""
-        reduced = list(costs) + [RAT(0)]
+        reduced = list(costs) + [Fraction(0)]
         for r, bj in enumerate(self.basis):
             f = reduced[bj]
             if f:
@@ -157,7 +157,7 @@ class _Tableau:
         row = self.rows[pr]
         piv = row[pc]
         if piv != 1:
-            inv = RAT(1) / piv
+            inv = 1 / piv
             row = [v * inv for v in row]
             self.rows[pr] = row
         for i in range(self.m):
@@ -208,18 +208,16 @@ class _Tableau:
         return [costs[self.n + i] - self.reduced[self.n + i] for i in range(self.m)]
 
 
-def _run_phase_one(tab: _Tableau):
-    costs = [RAT(0)] * tab.n + [RAT(-1)] * tab.m
+def _phase_one(tab: _Tableau, problem: LpProblem) -> Optional[tuple]:
+    """Minimize the artificial sum; None if it reaches zero, else a verified Farkas vector."""
+    costs = [Fraction(0)] * tab.n + [Fraction(-1)] * tab.m
     tab.load_costs(costs)
-    col = tab.optimize([True] * tab.ncols)
-    if col is not None:
+    if tab.optimize([True] * tab.ncols) is not None:
         raise InternalError("phase-one objective is bounded above by zero")
-    return costs
-
-
-def _farkas_from_phase_one(tab: _Tableau, costs, problem: LpProblem):
+    if tab.objective_value >= 0:
+        return None
     y_signed = tab.dual_vector(costs)
-    y = tuple(to_fraction(RAT(sign) * v) for sign, v in zip(tab.signs, y_signed))
+    y = tuple(sign * v for sign, v in zip(tab.signs, y_signed))
     # Verify against the original data: y.A >= 0 columnwise, y.b < 0.
     for j in range(problem.num_variables):
         column = sum(y[i] * problem.rows[i][j] for i in range(problem.num_rows))
@@ -244,7 +242,7 @@ def _drive_out_artificials(tab: _Tableau):
 
 
 def _extract_point(tab: _Tableau) -> list:
-    x = [RAT(0)] * tab.n
+    x = [Fraction(0)] * tab.n
     for r, bj in enumerate(tab.basis):
         if bj < tab.n:
             x[bj] = tab.rows[r][-1]
@@ -264,21 +262,20 @@ def _verify_primal(problem: LpProblem, x) -> None:
 def solve(problem: LpProblem) -> LpSolution:
     """Exact optimum of the problem, with a verified certificate for every status."""
     tab = _Tableau(problem)
-    costs1 = _run_phase_one(tab)
-    if tab.objective_value < 0:
-        farkas = _farkas_from_phase_one(tab, costs1, problem)
+    farkas = _phase_one(tab, problem)
+    if farkas is not None:
         return LpSolution(status=INFEASIBLE, farkas=farkas, pivots=tab.pivots)
 
     _drive_out_artificials(tab)
 
-    costs2 = [RAT(v) for v in problem.objective] + [RAT(0)] * tab.m
+    costs2 = list(problem.objective) + [Fraction(0)] * tab.m
     tab.load_costs(costs2)
     eligible = [True] * tab.n + [False] * tab.m
     col = tab.optimize(eligible)
 
     if col is not None:
-        ray = [RAT(0)] * tab.n
-        ray[col] = RAT(1)
+        ray = [Fraction(0)] * tab.n
+        ray[col] = Fraction(1)
         for r, bj in enumerate(tab.basis):
             a = tab.rows[r][col]
             if not a:
@@ -286,29 +283,28 @@ def solve(problem: LpProblem) -> LpSolution:
             if bj >= tab.n:
                 raise InternalError("improving ray leaks into an artificial variable")
             ray[bj] = -a
-        ray_f = [to_fraction(v) for v in ray]
-        if any(v < 0 for v in ray_f):
+        if any(v < 0 for v in ray):
             raise InternalError("improving ray has a negative coordinate")
         for row in problem.rows:
-            if sum(c * v for c, v in zip(row, ray_f)) != 0:
+            if sum(c * v for c, v in zip(row, ray)) != 0:
                 raise InternalError("improving ray leaves the null space")
-        gain = sum(c * v for c, v in zip(problem.objective, ray_f))
+        gain = sum(c * v for c, v in zip(problem.objective, ray))
         if gain <= 0:
             raise InternalError("improving ray does not improve the objective")
         return LpSolution(
             status=UNBOUNDED,
-            ray=dict(zip(problem.labels, ray_f)),
+            ray=dict(zip(problem.labels, ray)),
             pivots=tab.pivots,
         )
 
-    x = [to_fraction(v) for v in _extract_point(tab)]
+    x = _extract_point(tab)
     _verify_primal(problem, x)
-    value = to_fraction(tab.objective_value)
+    value = tab.objective_value
     if sum(c * v for c, v in zip(problem.objective, x)) != value:
         raise InternalError("objective value disagrees with the primal point")
     # Dual optimality certificate: c_j <= y.A_j for every column, y.b = value.
     y_signed = tab.dual_vector(costs2)
-    y = [to_fraction(RAT(sign) * v) for sign, v in zip(tab.signs, y_signed)]
+    y = [sign * v for sign, v in zip(tab.signs, y_signed)]
     for j in range(problem.num_variables):
         column = sum(y[i] * problem.rows[i][j] for i in range(problem.num_rows))
         if problem.objective[j] > column:
@@ -326,11 +322,10 @@ def solve(problem: LpProblem) -> LpSolution:
 def check_feasible(problem: LpProblem) -> FeasibilityResult:
     """Phase-one feasibility: an exact feasible point or a Farkas certificate."""
     tab = _Tableau(problem)
-    costs1 = _run_phase_one(tab)
-    if tab.objective_value < 0:
-        farkas = _farkas_from_phase_one(tab, costs1, problem)
+    farkas = _phase_one(tab, problem)
+    if farkas is not None:
         return FeasibilityResult(feasible=False, farkas=farkas)
-    x = [to_fraction(v) for v in _extract_point(tab)]
+    x = _extract_point(tab)
     _verify_primal(problem, x)
     return FeasibilityResult(feasible=True, point=dict(zip(problem.labels, x)))
 
@@ -404,9 +399,7 @@ def vertex_enum_oracle(problem: LpProblem, basis_budget: int = 5_000_000) -> LpS
     Intended for small problems only (the subset count is checked against
     the budget up front).
     """
-    rows = [[RAT(v) for v in row] for row in problem.rows]
-    rhs = [RAT(v) for v in problem.rhs]
-    objective = [RAT(v) for v in problem.objective]
+    rows, rhs, objective = problem.rows, problem.rhs, problem.objective
     n = problem.num_variables
 
     rank = _matrix_rank(rows)
@@ -421,18 +414,18 @@ def vertex_enum_oracle(problem: LpProblem, basis_budget: int = 5_000_000) -> LpS
         coeffs = _solve_on_columns(rows, rhs, selected)
         if coeffs is None or any(v < 0 for v in coeffs):
             continue
-        value = sum(objective[j] * v for j, v in zip(selected, coeffs))
+        value = sum((objective[j] * v for j, v in zip(selected, coeffs)), Fraction(0))
         if best_value is None or value > best_value:
             best_value = value
             best_point = dict.fromkeys(problem.labels, Fraction(0))
             for j, v in zip(selected, coeffs):
-                best_point[problem.labels[j]] = to_fraction(v)
+                best_point[problem.labels[j]] = v
     if best_value is None:
         # The feasible region contains no line, so no vertex means empty.
         return LpSolution(status=INFEASIBLE)
 
-    recession_rows = rows + [[RAT(1)] * n]
-    recession_rhs = [RAT(0)] * len(rows) + [RAT(1)]
+    recession_rows = rows + ((Fraction(1),) * n,)
+    recession_rhs = (Fraction(0),) * len(rows) + (Fraction(1),)
     rank2 = _matrix_rank(recession_rows)
     if comb(n, rank2) > basis_budget:
         raise BudgetError(
@@ -445,4 +438,4 @@ def vertex_enum_oracle(problem: LpProblem, basis_budget: int = 5_000_000) -> LpS
             continue
         if sum(objective[j] * v for j, v in zip(selected, coeffs)) > 0:
             return LpSolution(status=UNBOUNDED)
-    return LpSolution(status=OPTIMAL, value=to_fraction(best_value), primal=best_point)
+    return LpSolution(status=OPTIMAL, value=best_value, primal=best_point)

@@ -1,9 +1,8 @@
 """Exact rational arithmetic helpers.
 
-Every value exposed by the public API is a `fractions.Fraction` (canonical
-form: reduced, positive denominator).  Hot loops run on `gmpy2.mpq` when it
-is installed -- identical semantics, several times faster -- and fall back
-to `Fraction` otherwise.  Rationals serialize as "p/q" strings.
+Every number the package computes with is a `fractions.Fraction`
+(canonical form: reduced, positive denominator); there is no second
+rational type.  Rationals serialize as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -13,24 +12,18 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - gmpy2 is normally available
-    RAT = Fraction
-
-R_ZERO = RAT(0)
-R_ONE = RAT(1)
+RAT = Fraction  # the one rational type; benchmark records name its module as the backend
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def to_fraction(value) -> Fraction:
-    """Convert an int, Fraction, or gmpy2.mpq to a Fraction."""
+    """Convert an int or Fraction to a Fraction; reject anything else."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(int(value.numerator), int(value.denominator))
+    raise ValidationError(f"not an exact rational: {value!r}")
 
 
 def format_rational(value) -> str:
@@ -45,7 +38,7 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: it cannot represent the exact
     values this toolkit traffics in.
     """
-    match = _RATIONAL_RE.match(text.strip())
+    match = _RATIONAL_RE.match(text.strip()) if isinstance(text, str) else None
     if match is None:
         raise ValidationError(
             f"not a rational: {text!r} (expected 'p/q' or an integer)"

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -228,11 +226,11 @@ def certificate_from_dict(data: dict) -> GapCertificate:
         return GapCertificate(
             gamma=parse_rational(data["gamma"]),
             beta=parse_rational(data["beta"]),
-            seed=int(data["seed"]),
+            seed=serialize.strict(data["seed"], int),
             instance=instance,
             lp_value=parse_rational(data["lp_value"]),
             csp_value=parse_rational(data["csp_value"]),
-            csp_witness=tuple(int(v) for v in data["csp_witness"]),
+            csp_witness=serialize.strict_ints(data["csp_witness"]),
             solution=serialize.solution_from_dict(data["solution"], instance),
             yes_distribution=serialize.pair_distribution_from_dict(
                 data["yes_distribution"], fam
@@ -241,14 +239,14 @@ def certificate_from_dict(data: dict) -> GapCertificate:
                 data["no_distribution"], fam
             ),
             marginals=serialize.marginal_vector_from_dict(data["marginal_vector"], fam),
-            no_sup_budget=int(no_sup["budget"]),
+            no_sup_budget=serialize.strict(no_sup["budget"], int),
             no_sup_bound=parse_rational(no_sup["bound"]),
             no_sup_kernel=serialize.kernel_from_dict(no_sup["kernel"]),
-            schema_version=int(data["schema_version"]),
-            toolkit_version=str(data["toolkit_version"]),
-            digest=str(data["digest"]),
+            schema_version=serialize.strict(data["schema_version"], int),
+            toolkit_version=serialize.strict(data["toolkit_version"], str),
+            digest=serialize.strict(data["digest"], str),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed certificate: {exc!r}") from exc
 
 
@@ -271,22 +269,9 @@ class SearchOutcome:
         return self.certificate is not None
 
 
-def _worker_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("CSPGAP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"CSPGAP_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def search_gap(
     cfg: SearchConfig,
     maximize_gap: bool = False,
-    threads: Optional[int] = None,
     no_sup_budget: int = DEFAULT_NO_SUP_BUDGET,
     assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
     progress=None,
@@ -296,36 +281,14 @@ def search_gap(
     Default semantics: certify the first qualifying instance in stream
     order.  With maximize_gap the whole budget is spent and the qualifying
     instance with the largest lp - csp difference (earliest on ties) is
-    certified.  Instance evaluations may run in a worker pool (size from
-    `threads` or the CSPGAP_THREADS environment variable); the reduction is
-    by stream order, so results do not depend on scheduling.
+    certified.  Instances are evaluated one at a time, in stream order.
     """
-    workers = _worker_count(threads)
-    stream = itertools.islice(enumerate_instances(cfg), cfg.budget)
     evaluated = 0
     qualifying = 0
     best: Optional[GapReport] = None
-
-    def evaluate(inst: Instance) -> GapReport:
-        return gap_report(inst, assignment_budget=assignment_budget)
-
-    def reports():
-        nonlocal evaluated
-        if workers == 1:
-            for inst in stream:
-                evaluated += 1
-                yield evaluate(inst)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                while True:
-                    window = list(itertools.islice(stream, workers * 4))
-                    if not window:
-                        break
-                    for report in pool.map(evaluate, window):
-                        evaluated += 1
-                        yield report
-
-    for report in reports():
+    for inst in itertools.islice(enumerate_instances(cfg), cfg.budget):
+        report = gap_report(inst, assignment_budget=assignment_budget)
+        evaluated += 1
         if progress is not None and evaluated % 100 == 0:
             progress(evaluated)
         if not report.is_gap(cfg.gamma, cfg.beta):

@@ -31,6 +31,23 @@ def canonical_dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def strict(value, kind: type):
+    """`value` if its JSON type is exactly `kind` (a bool is no int), else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def strict_ints(data) -> tuple:
+    return tuple(strict(v, int) for v in strict(data, list))
+
+
+def _rational_rows(data) -> tuple:
+    return tuple(
+        tuple(parse_rational(v) for v in strict(row, list)) for row in strict(data, list)
+    )
+
+
 def family_to_dict(fam: PredicateFamily) -> dict:
     return {
         "q": fam.q,
@@ -43,11 +60,11 @@ def family_to_dict(fam: PredicateFamily) -> dict:
 
 def family_from_dict(data: dict) -> PredicateFamily:
     try:
-        q = int(data["q"])
-        k = int(data["k"])
+        q = strict(data["q"], int)
+        k = strict(data["k"], int)
         predicates = tuple(
-            Predicate(q, k, entry["name"], tuple(entry["table"]))
-            for entry in data["predicates"]
+            Predicate(q, k, strict(entry["name"], str), strict_ints(entry["table"]))
+            for entry in strict(data["predicates"], list)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed family object: {exc!r}") from exc
@@ -69,8 +86,8 @@ def instance_to_dict(inst: Instance, family="inline") -> dict:
 def instance_from_dict(data: dict, base_dir: str = ".") -> Instance:
     try:
         family_field = data["family"]
-        n = int(data["n"])
-        raw_constraints = list(data["constraints"])
+        n = strict(data["n"], int)
+        raw_constraints = strict(data["constraints"], list)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance object: {exc!r}") from exc
     if isinstance(family_field, str):
@@ -81,8 +98,8 @@ def instance_from_dict(data: dict, base_dir: str = ".") -> Instance:
     for entry in raw_constraints:
         try:
             name = entry["f"]
-            variables = tuple(int(v) for v in entry["vars"])
-            weight = int(entry.get("w", 1))
+            variables = strict_ints(entry["vars"])
+            weight = strict(entry.get("w", 1), int)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed constraint object: {exc!r}") from exc
         if weight == 0:
@@ -96,12 +113,14 @@ def instance_from_dict(data: dict, base_dir: str = ".") -> Instance:
 
 
 def load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno},"
-                                  f" column {exc.colno}: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno},"
+                              f" column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or a NUL in the path
+        raise ValidationError(f"{path!r}: {exc}") from exc
 
 
 def load_family(path: str) -> PredicateFamily:
@@ -141,13 +160,11 @@ def solution_from_dict(data: dict, inst: Instance) -> LocalDistributionSolution:
     ranker = inst.family.predicates[0]  # every predicate shares (q, k)
     try:
         value = parse_rational(data["objective"])
-        marginals = tuple(
-            tuple(parse_rational(v) for v in row) for row in data["marginals"]
-        )
+        marginals = _rational_rows(data["marginals"])
         locals_ = []
-        for entry in data["locals"]:
+        for entry in strict(data["locals"], list):
             masses = [Fraction(0)] * size
-            for digits, mass in entry.items():
+            for digits, mass in strict(entry, dict).items():
                 values = digits_to_tuple(digits, q)
                 if len(values) != k:
                     raise ValidationError(f"tuple {digits!r} has wrong arity")
@@ -169,7 +186,7 @@ def pair_distribution_to_dict(dist: PairDistribution) -> dict:
 
 def pair_distribution_from_dict(data: dict, fam: PredicateFamily) -> PairDistribution:
     mass = {}
-    for key, value in data.items():
+    for key, value in strict(data, dict).items():
         name, _, digits = key.rpartition(":")
         if not name:
             raise ValidationError(f"malformed atom key {key!r}")
@@ -186,10 +203,7 @@ def marginal_vector_to_dict(mv: MarginalVector) -> dict:
 
 def marginal_vector_from_dict(data: dict, fam: PredicateFamily) -> MarginalVector:
     try:
-        entries = tuple(
-            tuple(tuple(parse_rational(v) for v in row) for row in data[name])
-            for name in fam.names
-        )
+        entries = tuple(_rational_rows(data[name]) for name in fam.names)
     except KeyError as exc:
         raise ValidationError(f"marginal vector is missing predicate {exc}") from exc
     return MarginalVector(fam.names, fam.k, fam.q, entries)
@@ -200,4 +214,4 @@ def kernel_to_dict(kernel: SymbolKernel) -> list:
 
 
 def kernel_from_dict(data) -> SymbolKernel:
-    return SymbolKernel(tuple(tuple(parse_rational(v) for v in row) for row in data))
+    return SymbolKernel(_rational_rows(data))

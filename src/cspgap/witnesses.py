@@ -28,7 +28,7 @@ from .basic_lp import LocalDistributionSolution, verify_local_solution
 from .core import Predicate, PredicateFamily, Instance, rho_product_lower, rho_upper_empirical
 from .core import compositions, tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
-from .rationals import RAT, to_fraction
+from .rationals import to_fraction
 
 
 @dataclass(frozen=True)
@@ -155,18 +155,18 @@ class _KernelScorer:
         self.q = fam.q
         groups = {}
         for (name, values), weight in dist.atoms():
-            groups.setdefault(name, []).append((values, RAT(weight)))
+            groups.setdefault(name, []).append((values, weight))
         self.groups = [
             (fam[name].satisfying_tuples(), atoms) for name, atoms in groups.items()
         ]
 
     def score(self, rows):
-        total = RAT(0)
+        total = Fraction(0)
         for satisfying, atoms in self.groups:
             if not satisfying:
                 continue
             for values, weight in atoms:
-                hit = RAT(0)
+                hit = Fraction(0)
                 for target in satisfying:
                     term = weight
                     for source, out in zip(values, target):
@@ -186,8 +186,7 @@ def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
     """
     if kernel.q != dist.family.q:
         raise ValidationError("kernel alphabet does not match the family")
-    rows = tuple(tuple(RAT(v) for v in row) for row in kernel.rows)
-    return to_fraction(_KernelScorer(dist).score(rows))
+    return _KernelScorer(dist).score(kernel.rows)
 
 
 def no_sup_search(
@@ -213,7 +212,7 @@ def no_sup_search(
 
     def score(rows):
         state["evals"] += 1
-        value = scorer.score(tuple(tuple(RAT(v) for v in row) for row in rows))
+        value = scorer.score(rows)
         if (
             state["best"] is None
             or value > state["best"]
@@ -277,7 +276,7 @@ def no_sup_search(
                     break
                 if state["evals"] >= budget:
                     break
-    return to_fraction(state["best"]), SymbolKernel(state["best_rows"])
+    return state["best"], SymbolKernel(state["best_rows"])
 
 
 def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):

@@ -1,11 +1,9 @@
-"""Shared generators for the test suite: canonical instances, random LPs, CLI envs."""
+"""Shared generators for the test suite: canonical instances and random LPs."""
 
 import itertools
-import os
 import random
 from fractions import Fraction
 
-import cspgap
 from cspgap import Constraint, Instance, LpProblem, cut_family, dicut_family
 from cspgap.core import constraint_universe
 
@@ -66,15 +64,3 @@ def dicut_complete(t):
 
 def seeded(seed):
     return random.Random(seed)
-
-
-def cli_env(**extra):
-    """Scrubbed environment for a ``python -m cspgap.cli`` subprocess.
-
-    Only ``PATH`` and ``PYTHONPATH`` are kept, plus the given variables.
-    ``PYTHONPATH`` points at the directory that holds the imported
-    ``cspgap`` package, so the child finds the same copy whether it is a
-    source checkout or an installed one.
-    """
-    package_parent = os.path.dirname(os.path.dirname(cspgap.__file__))
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_parent, **extra}

@@ -1,13 +1,27 @@
 """Command-line surface: outputs, exit codes, and determinism."""
 
+import copy
+import io
 import json
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import triangle
-from cspgap import cut_family, dicut_family
+from cspgap import (
+    build_certificate,
+    certificate_from_dict,
+    certificate_to_dict,
+    cut_family,
+    dicut_family,
+    gap_report,
+)
 from cspgap.cli import main
 from cspgap.serialize import canonical_dumps, family_to_dict, instance_to_dict
 
@@ -148,7 +162,10 @@ def test_alphabet_beyond_digit_codec_is_operational_error(tmp_path, capsys):
     assert "alphabet size" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("constraints", 5), ("n", "x")])
+@pytest.mark.parametrize(
+    "field, value",
+    [("constraints", 5), ("n", "x"), ("n", "0110"), ("n", 3.0), ("n", True)],
+)
 def test_malformed_instance_field_is_operational_error(
     triangle_file, capsys, field, value
 ):
@@ -159,6 +176,99 @@ def test_malformed_instance_field_is_operational_error(
         handle.write(canonical_dumps(data))
     assert main(["lp-solve", triangle_file]) == 2
     assert "malformed instance object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, kind",
+    [
+        (("constraints", 0, "w"), 1.5, "constraint"),
+        (("constraints", 0, "w"), True, "constraint"),
+        (("constraints", 0, "vars"), [1.7, 2], "constraint"),
+        (("constraints", 0, "vars"), "12", "constraint"),
+        (("family", "q"), "2", "family"),
+        (("family", "predicates", 0, "table"), "0110", "family"),
+        (("family", "predicates", 0, "table"), [0, True, 1, 0], "family"),
+        (("family", "predicates", 0, "name"), [[1]], "family"),
+    ],
+    ids=[
+        "w-float", "w-bool", "vars-float", "vars-string",
+        "q-string", "table-string", "table-bool", "name-list",
+    ],
+)
+def test_malformed_nested_field_is_operational_error(
+    triangle_file, capsys, path, value, kind
+):
+    # nothing is coerced: not 1.5 -> 1, "12" -> (1, 2) or "0110" -> a table
+    with open(triangle_file, encoding="utf-8") as handle:
+        data = json.load(handle)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with open(triangle_file, "w", encoding="utf-8") as handle:
+        handle.write(canonical_dumps(data))
+    assert main(["lp-solve", triangle_file]) == 2
+    assert f"malformed {kind} object" in capsys.readouterr().err
+
+
+def test_undecodable_file_is_operational_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["lp-solve", str(path)]) == 2
+    assert "can't decode" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def triangle_certificate(tmp_path_factory):
+    cert = build_certificate(gap_report(triangle()), Fraction(1), Fraction(2, 3))
+    return certificate_to_dict(cert), tmp_path_factory.mktemp("mutants") / "cert.json"
+
+
+def _paths(node, prefix=()):
+    """Paths to every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# Integers stay small: verify-cert re-runs the kernel search with the stored budget.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["1/1", "2/3", "0", "01", "cut", "0.1.0"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_cert_exit_code_contract_on_any_replaced_node(triangle_certificate, data):
+    original, path = triangle_certificate
+    target = data.draw(st.sampled_from(list(_paths(original))))
+    mutated = copy.deepcopy(original)
+    node = mutated
+    for key in target[:-1]:
+        node = node[key]
+    node[target[-1]] = data.draw(JSON_VALUES)
+    path.write_text(canonical_dumps(mutated))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a zero weight is dropped with a warning
+            code = main(["verify-cert", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert certificate_to_dict(certificate_from_dict(mutated)) == original
 
 
 def test_gap_search_writes_certificate(cut_family_file, tmp_path):

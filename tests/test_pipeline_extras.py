@@ -1,28 +1,35 @@
-"""Cross-cutting pipeline cases: weights, random-mode search, env, budgets."""
+"""Cross-cutting pipeline cases: weights, random-mode search, budgets."""
 
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-from builders import cli_env
+from builders import triangle
 from cspgap import (
     BudgetError,
     Constraint,
     Instance,
+    LpProblem,
     Predicate,
     PredicateFamily,
     SearchConfig,
+    ValidationError,
     build_certificate,
+    check_feasible,
+    construct_yes_no,
     cut_family,
     dicut_family,
     gap_report,
+    no_sup_search,
+    no_value,
+    rho_product_lower,
     search_gap,
+    solve,
     support_classification,
+    to_fraction,
     verify_certificate,
+    vertex_enum_oracle,
 )
-from cspgap.serialize import canonical_dumps, family_to_dict
 
 
 def test_weighted_cycle_gap_certificate():
@@ -102,43 +109,48 @@ def test_support_classification_subfamily_cap():
         support_classification(fam, subfamily_cap=4096)
 
 
-def test_threads_env_is_validated(tmp_path):
-    fam_path = tmp_path / "cut.json"
-    fam_path.write_text(canonical_dumps(family_to_dict(cut_family())))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "cspgap.cli", "gap-search",
-            "--family", str(fam_path), "--gamma", "1/1", "--beta", "4/5",
-            "--n-max", "3", "--budget", "50",
-        ],
-        capture_output=True,
-        text=True,
-        env=cli_env(CSPGAP_THREADS="lots"),
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "CSPGAP_THREADS" in proc.stderr, proc.stderr
+def _numbers(*values):
+    for value in values:
+        if isinstance(value, dict):
+            yield from _numbers(*value.values())
+        elif isinstance(value, (tuple, list)):
+            yield from _numbers(*value)
+        else:
+            yield value
 
 
-def test_threads_env_sizes_pool(tmp_path):
-    fam_path = tmp_path / "cut.json"
-    fam_path.write_text(canonical_dumps(family_to_dict(cut_family())))
-    out = tmp_path / "cert.json"
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "cspgap.cli", "gap-search",
-            "--family", str(fam_path), "--gamma", "1/1", "--beta", "2/3",
-            "--n-max", "3", "--max-constraints", "3", "--budget", "200",
-            "--out", str(out),
-        ],
-        capture_output=True,
-        text=True,
-        env=cli_env(CSPGAP_THREADS="4"),
+def test_every_returned_rational_is_a_fraction():
+    def problem(objective, rows, rhs):
+        labels = tuple(f"v{j}" for j in range(len(objective)))
+        return LpProblem(objective, rows, rhs, labels)
+
+    optimal = solve(problem((1, 1), ((1, 2),), (2,)))
+    infeasible = solve(problem((1,), ((1,),), (-1,)))
+    unbounded = solve(problem((1, 0), ((1, -1),), (1,)))
+    assert (optimal.status, infeasible.status, unbounded.status) == (
+        "optimal", "infeasible", "unbounded"
     )
-    assert proc.returncode == 0, proc.stderr
-    verify = subprocess.run(
-        [sys.executable, "-m", "cspgap.cli", "verify-cert", str(out)],
-        capture_output=True,
-        text=True,
-        env=cli_env(),
-    )
-    assert verify.returncode == 0, verify.stderr
+    feasible = check_feasible(problem((0, 0), ((1, 1),), (1,)))
+    refuted = check_feasible(problem((0,), ((1,),), (-1,)))
+    # rank 0: the best basic value is an empty sum
+    no_rows = vertex_enum_oracle(problem((0, 0), (), ()))
+    zero_rows = vertex_enum_oracle(problem((-1, 0), ((0, 0),), (0,)))
+    assert no_rows.status == zero_rows.status == "optimal"
+
+    report = gap_report(triangle())
+    _, no_dist = construct_yes_no(report.instance, report.lp_witness)
+    bound, kernel = no_sup_search(no_dist, budget=40)
+    witness = report.lp_witness
+    numbers = list(_numbers(
+        optimal.value, optimal.primal, infeasible.farkas, unbounded.ray,
+        feasible.point, refuted.farkas,
+        no_rows.value, no_rows.primal, zero_rows.value, zero_rows.primal,
+        report.lp_value, report.csp_value, report.gap,
+        witness.value, witness.marginals, witness.locals_,
+        no_value(no_dist, kernel), bound, kernel.rows,
+        rho_product_lower(cut_family(), Fraction(1, 8)),
+    ))
+    assert len(numbers) > 40
+    assert [v for v in numbers if type(v) is not Fraction] == []
+    with pytest.raises(ValidationError):
+        to_fraction(0.5)

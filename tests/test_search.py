@@ -121,14 +121,6 @@ def test_search_maximize_gap_scans_budget():
     assert gap_of(best.certificate) >= gap_of(first.certificate)
 
 
-def test_search_threads_match_sequential():
-    config = cfg(beta=Fraction(2, 3), budget=200)
-    seq = search_gap(config, threads=1)
-    par = search_gap(config, threads=3)
-    assert seq.found and par.found
-    assert certificate_to_dict(seq.certificate) == certificate_to_dict(par.certificate)
-
-
 def test_enumerated_strong_family_instances_all_reach_one():
     # Every predicate of the family carries a uniform-marginal satisfying
     # distribution, so every enumerated instance relaxes to exactly 1.

@@ -43,7 +43,7 @@ def test_rational_parse(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["0.5", "1/0", "1/-2", "x", "", "1 / 2"])
+@pytest.mark.parametrize("text", ["0.5", "1/0", "1/-2", "x", "", "1 / 2", 5, None, ["1/2"]])
 def test_rational_parse_rejects(text):
     with pytest.raises(ValidationError):
         parse_rational(text)
