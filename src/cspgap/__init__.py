@@ -15,7 +15,6 @@ from .basic_lp import (
     lp_from_width,
     point_mass_solution,
     solve_basic_lp,
-    verify_local_solution,
 )
 from .core import (
     Constraint,

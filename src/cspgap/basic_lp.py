@@ -8,9 +8,10 @@ marginal.  Integral assignments embed as point masses, so the relaxed value
 dominates the true optimum; the gap between the two is what the rest of the
 toolkit hunts for.
 
-Solutions are decoded into `LocalDistributionSolution` objects and eagerly
-re-verified: sums, signs, marginal consistency, and the objective value are
-all checked with exact arithmetic before anything is returned.
+Solutions are decoded into `LocalDistributionSolution` objects, which verify
+themselves on construction: sums, signs, marginal consistency, and the
+objective value are all checked with exact arithmetic, so no unverified
+solution object exists.
 """
 
 from __future__ import annotations
@@ -38,12 +39,56 @@ class LocalDistributionSolution:
 
     `locals_` holds one mass vector per constraint (rank-indexed over [q]^k,
     lexicographic order) and `marginals` one mass vector per variable.
+    Construction checks feasibility for `instance` and the stated `value`
+    exactly, so every object of this type is a verified solution.
     """
 
     instance: Instance
     locals_: tuple
     marginals: tuple
     value: Fraction
+
+    def __post_init__(self):
+        """Exact feasibility and objective check; raises ValidationError on any miss."""
+        inst, marginals = self.instance, self.marginals
+        q, k = inst.family.q, inst.family.k
+        size = q**k
+        if len(self.locals_) != inst.m:
+            raise ValidationError("one local distribution required per constraint")
+        if len(marginals) != inst.n:
+            raise ValidationError("one marginal distribution required per variable")
+        for i, marg in enumerate(marginals):
+            if len(marg) != q:
+                raise ValidationError(f"marginal of variable {i + 1} has wrong length")
+            if any(v < 0 for v in marg):
+                raise ValidationError(f"marginal of variable {i + 1} has a negative entry")
+            if sum(marg) != 1:
+                raise ValidationError(f"marginal of variable {i + 1} does not sum to 1")
+        objective = Fraction(0)
+        weight_total = inst.total_weight
+        position_ranks = _position_ranks(q, k)
+        for ci, constraint in enumerate(inst.constraints):
+            masses = self.locals_[ci]
+            if len(masses) != size:
+                raise ValidationError(f"local distribution {ci} has wrong length")
+            if any(v < 0 for v in masses):
+                raise ValidationError(f"local distribution {ci} has a negative entry")
+            if sum(masses) != 1:
+                raise ValidationError(f"local distribution {ci} does not sum to 1")
+            pred = inst.family[constraint.predicate]
+            for pos, variable in enumerate(constraint.variables):
+                for symbol, ranks in enumerate(position_ranks[pos]):
+                    if sum(masses[rank] for rank in ranks) != marginals[variable - 1][symbol]:
+                        raise ValidationError(
+                            f"constraint {ci} position {pos} disagrees with the"
+                            f" marginal of variable {variable} at symbol {symbol}"
+                        )
+            satisfied = sum(masses[rank] for rank, bit in enumerate(pred.table) if bit)
+            objective += Fraction(constraint.weight, weight_total) * satisfied
+        if objective != self.value:
+            raise ValidationError(
+                f"stated objective {self.value} differs from recomputed {objective}"
+            )
 
     def local_distribution(self, index: int) -> dict:
         """Mass of constraint `index` as a {tuple: Fraction} map (zeros omitted)."""
@@ -70,48 +115,6 @@ def _position_ranks(q: int, k: int) -> tuple:
         )
         for pos in range(k)
     )
-
-
-def verify_local_solution(inst: Instance, sol: LocalDistributionSolution) -> None:
-    """Exact feasibility and objective check; raises ValidationError on any miss."""
-    q, k = inst.family.q, inst.family.k
-    size = q**k
-    if len(sol.locals_) != inst.m:
-        raise ValidationError("one local distribution required per constraint")
-    if len(sol.marginals) != inst.n:
-        raise ValidationError("one marginal distribution required per variable")
-    for i, marg in enumerate(sol.marginals):
-        if len(marg) != q:
-            raise ValidationError(f"marginal of variable {i + 1} has wrong length")
-        if any(v < 0 for v in marg):
-            raise ValidationError(f"marginal of variable {i + 1} has a negative entry")
-        if sum(marg) != 1:
-            raise ValidationError(f"marginal of variable {i + 1} does not sum to 1")
-    objective = Fraction(0)
-    weight_total = inst.total_weight
-    position_ranks = _position_ranks(q, k)
-    for ci, constraint in enumerate(inst.constraints):
-        masses = sol.locals_[ci]
-        if len(masses) != size:
-            raise ValidationError(f"local distribution {ci} has wrong length")
-        if any(v < 0 for v in masses):
-            raise ValidationError(f"local distribution {ci} has a negative entry")
-        if sum(masses) != 1:
-            raise ValidationError(f"local distribution {ci} does not sum to 1")
-        pred = inst.family[constraint.predicate]
-        for pos, variable in enumerate(constraint.variables):
-            for symbol, ranks in enumerate(position_ranks[pos]):
-                if sum(masses[rank] for rank in ranks) != sol.marginals[variable - 1][symbol]:
-                    raise ValidationError(
-                        f"constraint {ci} position {pos} disagrees with the"
-                        f" marginal of variable {variable} at symbol {symbol}"
-                    )
-        satisfied = sum(masses[rank] for rank, bit in enumerate(pred.table) if bit)
-        objective += Fraction(constraint.weight, weight_total) * satisfied
-    if objective != sol.value:
-        raise ValidationError(
-            f"stated objective {sol.value} differs from recomputed {objective}"
-        )
 
 
 def build_basic_lp(inst: Instance) -> lp.LpProblem:
@@ -177,12 +180,10 @@ def decode_primal(inst: Instance, primal: dict, value: Fraction) -> LocalDistrib
     locals_ = tuple(
         values[start:start + size] for start in range(num_x, len(values), size)
     )
-    sol = LocalDistributionSolution(inst, locals_, marginals, value)
     try:
-        verify_local_solution(inst, sol)
+        return LocalDistributionSolution(inst, locals_, marginals, value)
     except ValidationError as exc:
         raise InternalError(f"decoded solution fails verification: {exc}") from exc
-    return sol
 
 
 def solve_basic_lp(inst: Instance) -> LocalDistributionSolution:
@@ -244,9 +245,7 @@ def point_mass_solution(inst: Instance, assignment) -> LocalDistributionSolution
         masses = [Fraction(0)] * size
         masses[rank] = Fraction(1)
         locals_.append(tuple(masses))
-    sol = LocalDistributionSolution(inst, tuple(locals_), tuple(marginals), value)
-    verify_local_solution(inst, sol)
-    return sol
+    return LocalDistributionSolution(inst, tuple(locals_), tuple(marginals), value)
 
 
 def _uniform_marginals(n: int, q: int) -> tuple:
@@ -289,11 +288,9 @@ def lp_from_onewise(inst: Instance, witnesses: dict) -> LocalDistributionSolutio
             raise ValidationError(f"witness for {name!r} has a non-uniform marginal")
         tables[name] = tuple(masses)
     locals_ = tuple(tables[c.predicate] for c in inst.constraints)
-    sol = LocalDistributionSolution(
+    return LocalDistributionSolution(
         inst, locals_, _uniform_marginals(inst.n, q), Fraction(1)
     )
-    verify_local_solution(inst, sol)
-    return sol
 
 
 def lp_from_width(inst: Instance) -> LocalDistributionSolution:
@@ -323,6 +320,4 @@ def lp_from_width(inst: Instance) -> LocalDistributionSolution:
             tables[name] = tuple(masses)
         value += Fraction(constraint.weight, weight_total) * report.per_predicate[name].width
     locals_ = tuple(tables[c.predicate] for c in inst.constraints)
-    sol = LocalDistributionSolution(inst, locals_, _uniform_marginals(inst.n, q), value)
-    verify_local_solution(inst, sol)
-    return sol
+    return LocalDistributionSolution(inst, locals_, _uniform_marginals(inst.n, q), value)

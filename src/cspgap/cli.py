@@ -35,9 +35,7 @@ def cmd_family_stats(args) -> int:
         fam, n_max=args.n_max, budget=args.budget, seed=args.seed
     )
     width_report = core.width(fam)
-    classification = witnesses.support_classification(
-        fam, rho_precision=precision, n_max=min(args.n_max, 4)
-    )
+    classification = witnesses.support_classification(fam, lower, n_max=min(args.n_max, 4))
     data = {
         "q": fam.q,
         "k": fam.k,
@@ -190,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, budget_default):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=budget_default)
 
     p = sub.add_parser("family-stats", help="thresholds, width, one-wise support")
     p.add_argument("family", help="family JSON file")
     common(p, budget_default=200)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--precision", default="1/64", help="threshold bracket precision (p/q)")
     p.add_argument("--n-max", type=int, default=5, help="largest instance size enumerated")
     p.set_defaults(func=cmd_family_stats)
@@ -211,15 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap-check", help="test one instance against (gamma, beta)")
     p.add_argument("instance", help="instance JSON file")
     common(p, budget_default=core.DEFAULT_ASSIGNMENT_BUDGET)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", required=True, help="completeness target (p/q)")
     p.add_argument("--beta", required=True, help="soundness target (p/q)")
     p.add_argument("--out", metavar="PATH", help="write a certificate on success")
-    p.add_argument("--no-sup-budget", type=int, default=search.DEFAULT_NO_SUP_BUDGET)
+    p.add_argument("--no-sup-budget", type=int, default=search.DEFAULT_NO_SUP_BUDGET,
+                   help=f"kernel-search evaluations, 1 to {witnesses.MAX_NO_SUP_BUDGET}")
     p.set_defaults(func=cmd_gap_check)
 
     p = sub.add_parser("gap-search", help="search instance space for a gap")
     p.add_argument("--family", required=True, help="family JSON file")
     common(p, budget_default=1000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--n-min", type=int, default=None)
@@ -230,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maximize-gap", action="store_true",
                    help="spend the whole budget and keep the largest gap")
     p.add_argument("--out", metavar="PATH", help="certificate output file")
-    p.add_argument("--no-sup-budget", type=int, default=search.DEFAULT_NO_SUP_BUDGET)
+    p.add_argument("--no-sup-budget", type=int, default=search.DEFAULT_NO_SUP_BUDGET,
+                   help=f"kernel-search evaluations, 1 to {witnesses.MAX_NO_SUP_BUDGET}")
     p.set_defaults(func=cmd_gap_search)
 
     p = sub.add_parser("verify-cert", help="re-verify a certificate from scratch")

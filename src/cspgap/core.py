@@ -91,10 +91,6 @@ class Predicate:
         """All satisfying k-tuples, in lexicographic order."""
         return tuple(self.tuple_of(r) for r, v in enumerate(self.table) if v)
 
-    @property
-    def is_satisfiable(self) -> bool:
-        return any(self.table)
-
 
 @dataclass(frozen=True)
 class PredicateFamily:
@@ -381,7 +377,6 @@ def rho_upper_empirical(
     n_max: int,
     budget: int = 256,
     seed: int = 0,
-    assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
 ) -> Fraction:
     """Upper bound on the trivial threshold: cheapest instance found by enumeration.
 
@@ -400,7 +395,7 @@ def rho_upper_empirical(
 
     def consider(inst):
         nonlocal best, evaluated
-        value, _ = brute_force_opt(inst, budget=assignment_budget)
+        value, _ = brute_force_opt(inst)
         evaluated += 1
         if best is None or value < best:
             best = value

@@ -20,13 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import serialize
-from .basic_lp import (
-    GapReport,
-    LocalDistributionSolution,
-    gap_report,
-    solve_basic_lp,
-    verify_local_solution,
-)
+from .basic_lp import GapReport, LocalDistributionSolution, gap_report, solve_basic_lp
 from .core import (
     DEFAULT_ASSIGNMENT_BUDGET,
     Instance,
@@ -273,7 +267,6 @@ def search_gap(
     cfg: SearchConfig,
     maximize_gap: bool = False,
     no_sup_budget: int = DEFAULT_NO_SUP_BUDGET,
-    assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
     progress=None,
 ) -> SearchOutcome:
     """Scan the instance stream for a (gamma, beta)-gap instance.
@@ -287,7 +280,7 @@ def search_gap(
     qualifying = 0
     best: Optional[GapReport] = None
     for inst in itertools.islice(enumerate_instances(cfg), cfg.budget):
-        report = gap_report(inst, assignment_budget=assignment_budget)
+        report = gap_report(inst)
         evaluated += 1
         if progress is not None and evaluated % 100 == 0:
             progress(evaluated)
@@ -315,15 +308,99 @@ class VerifyReport:
     failure: Optional[str]
 
 
-def _checked(checks, name, condition, detail="") -> bool:
-    checks.append((name, bool(condition), detail))
-    return bool(condition)
+CSP_OPTIMUM_SKIPPED = ("csp_optimum", True, "skipped: assignment budget exceeded")
+
+
+def _clauses(cert: GapCertificate, assignment_budget: int):
+    """Every claim of the certificate as (name, holds, detail), in checking order.
+
+    Each clause is computed only when the previous ones have been consumed,
+    so a verifier that stops at the first failure runs nothing after it.
+    """
+    yield (
+        "schema_version",
+        cert.schema_version == SCHEMA_VERSION,
+        f"certificate schema {cert.schema_version}, verifier schema {SCHEMA_VERSION}",
+    )
+    yield (
+        "toolkit_version",
+        cert.toolkit_version == TOOLKIT_VERSION,
+        f"certificate toolkit {cert.toolkit_version}, verifier {TOOLKIT_VERSION}",
+    )
+    yield "targets", 0 <= cert.beta < cert.gamma <= 1, f"gamma={cert.gamma}, beta={cert.beta}"
+    # A solution verifies itself against its own instance on construction.
+    same = cert.solution.instance == cert.instance
+    yield "solution_feasible", same, "" if same else "solution belongs to a different instance"
+    yield (
+        "solution_objective",
+        cert.solution.value == cert.lp_value,
+        f"solution objective {cert.solution.value}, stated {cert.lp_value}",
+    )
+    resolved = solve_basic_lp(cert.instance)
+    yield (
+        "lp_optimum",
+        resolved.value == cert.lp_value,
+        f"fresh optimum {resolved.value}, stated {cert.lp_value}",
+    )
+    try:
+        witness_value = csp_value(cert.instance, cert.csp_witness)
+        detail = f"witness value {witness_value}, stated {cert.csp_value}"
+    except ValidationError as exc:
+        witness_value, detail = None, str(exc)
+    yield "csp_witness", witness_value == cert.csp_value, detail
+    if cert.instance.family.q ** cert.instance.n <= assignment_budget:
+        best, _ = brute_force_opt(cert.instance, budget=assignment_budget)
+        detail = f"fresh optimum {best}, stated {cert.csp_value}"
+        yield "csp_optimum", best == cert.csp_value, detail
+    else:
+        yield CSP_OPTIMUM_SKIPPED  # the stored witness still pins the csp value from below
+    yield (
+        "gap",
+        cert.lp_value >= cert.gamma and cert.csp_value <= cert.beta,
+        f"lp={cert.lp_value} vs gamma={cert.gamma}, csp={cert.csp_value} vs beta={cert.beta}",
+    )
+    yes_dist, no_dist = construct_yes_no(cert.instance, cert.solution)
+    yield "yes_distribution", yes_dist == cert.yes_distribution, ""
+    yield "no_distribution", no_dist == cert.no_distribution, ""
+    yield (
+        "marginal_match",
+        marginal_vector(cert.yes_distribution)
+        == marginal_vector(cert.no_distribution)
+        == cert.marginals,
+        "marginal vectors must agree exactly",
+    )
+    yield (
+        "yes_value",
+        yes_value(cert.yes_distribution) == cert.lp_value,
+        "yes-side satisfaction must equal the relaxation value",
+    )
+    bound, kernel = no_sup_search(
+        cert.no_distribution, budget=cert.no_sup_budget, seed=cert.seed
+    )
+    yield (
+        "no_sup_reproduces",
+        bound == cert.no_sup_bound and kernel == cert.no_sup_kernel,
+        "kernel search must reproduce the stored bound and kernel",
+    )
+    yield (
+        "no_sup_consistent",
+        no_value(cert.no_distribution, cert.no_sup_kernel) == cert.no_sup_bound,
+        "stored kernel must achieve the stored bound",
+    )
+    yield (
+        "no_sup_bounded",
+        cert.no_sup_bound <= cert.csp_value,
+        "falsifier bound must not exceed the instance optimum",
+    )
+    yield (
+        "integrity",
+        certificate_digest(certificate_to_dict(cert)) == cert.digest,
+        "content digest must match the stored digest",
+    )
 
 
 def verify_certificate(
-    cert: GapCertificate,
-    assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-    resolve_lp: bool = True,
+    cert: GapCertificate, assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET
 ) -> VerifyReport:
     """Re-derive every claim in the certificate from scratch.
 
@@ -333,145 +410,11 @@ def verify_certificate(
     stored witness still pins the csp value from below).
     """
     checks = []
-    downgraded = False
-
-    def fail(name):
-        return VerifyReport(False, downgraded, tuple(checks), name)
-
-    if not _checked(
-        checks,
-        "schema_version",
-        cert.schema_version == SCHEMA_VERSION,
-        f"certificate schema {cert.schema_version}, verifier schema {SCHEMA_VERSION}",
-    ):
-        return fail("schema_version")
-    if not _checked(
-        checks,
-        "toolkit_version",
-        cert.toolkit_version == TOOLKIT_VERSION,
-        f"certificate toolkit {cert.toolkit_version}, verifier {TOOLKIT_VERSION}",
-    ):
-        return fail("toolkit_version")
-    if not _checked(
-        checks,
-        "targets",
-        0 <= cert.beta < cert.gamma <= 1,
-        f"gamma={cert.gamma}, beta={cert.beta}",
-    ):
-        return fail("targets")
-
-    try:
-        verify_local_solution(cert.instance, cert.solution)
-        _checked(checks, "solution_feasible", True)
-    except ValidationError as exc:
-        _checked(checks, "solution_feasible", False, str(exc))
-        return fail("solution_feasible")
-    if not _checked(
-        checks,
-        "solution_objective",
-        cert.solution.value == cert.lp_value,
-        f"solution objective {cert.solution.value}, stated {cert.lp_value}",
-    ):
-        return fail("solution_objective")
-
-    if resolve_lp:
-        resolved = solve_basic_lp(cert.instance)
-        if not _checked(
-            checks,
-            "lp_optimum",
-            resolved.value == cert.lp_value,
-            f"fresh optimum {resolved.value}, stated {cert.lp_value}",
-        ):
-            return fail("lp_optimum")
-
-    try:
-        witness_value = csp_value(cert.instance, cert.csp_witness)
-    except ValidationError as exc:
-        _checked(checks, "csp_witness", False, str(exc))
-        return fail("csp_witness")
-    if not _checked(
-        checks,
-        "csp_witness",
-        witness_value == cert.csp_value,
-        f"witness value {witness_value}, stated {cert.csp_value}",
-    ):
-        return fail("csp_witness")
-
-    space = cert.instance.family.q ** cert.instance.n
-    if space <= assignment_budget:
-        best, _ = brute_force_opt(cert.instance, budget=assignment_budget)
-        if not _checked(
-            checks,
-            "csp_optimum",
-            best == cert.csp_value,
-            f"fresh optimum {best}, stated {cert.csp_value}",
-        ):
-            return fail("csp_optimum")
-    else:
-        downgraded = True
-        checks.append(("csp_optimum", True, "skipped: assignment budget exceeded"))
-
-    if not _checked(
-        checks,
-        "gap",
-        cert.lp_value >= cert.gamma and cert.csp_value <= cert.beta,
-        f"lp={cert.lp_value} vs gamma={cert.gamma}, csp={cert.csp_value} vs beta={cert.beta}",
-    ):
-        return fail("gap")
-
-    yes_dist, no_dist = construct_yes_no(cert.instance, cert.solution)
-    if not _checked(checks, "yes_distribution", yes_dist == cert.yes_distribution):
-        return fail("yes_distribution")
-    if not _checked(checks, "no_distribution", no_dist == cert.no_distribution):
-        return fail("no_distribution")
-    mv_yes = marginal_vector(cert.yes_distribution)
-    mv_no = marginal_vector(cert.no_distribution)
-    if not _checked(
-        checks,
-        "marginal_match",
-        mv_yes == mv_no == cert.marginals,
-        "marginal vectors must agree exactly",
-    ):
-        return fail("marginal_match")
-    if not _checked(
-        checks,
-        "yes_value",
-        yes_value(cert.yes_distribution) == cert.lp_value,
-        "yes-side satisfaction must equal the relaxation value",
-    ):
-        return fail("yes_value")
-
-    bound, kernel = no_sup_search(
-        cert.no_distribution, budget=cert.no_sup_budget, seed=cert.seed
+    for name, holds, detail in _clauses(cert, assignment_budget):
+        checks.append((name, bool(holds), detail))
+        if not holds:
+            break
+    ok = checks[-1][1]
+    return VerifyReport(
+        ok, CSP_OPTIMUM_SKIPPED in checks, tuple(checks), None if ok else checks[-1][0]
     )
-    if not _checked(
-        checks,
-        "no_sup_reproduces",
-        bound == cert.no_sup_bound and kernel == cert.no_sup_kernel,
-        "kernel search must reproduce the stored bound and kernel",
-    ):
-        return fail("no_sup_reproduces")
-    if not _checked(
-        checks,
-        "no_sup_consistent",
-        no_value(cert.no_distribution, cert.no_sup_kernel) == cert.no_sup_bound,
-        "stored kernel must achieve the stored bound",
-    ):
-        return fail("no_sup_consistent")
-    if not _checked(
-        checks,
-        "no_sup_bounded",
-        cert.no_sup_bound <= cert.csp_value,
-        "falsifier bound must not exceed the instance optimum",
-    ):
-        return fail("no_sup_bounded")
-
-    if not _checked(
-        checks,
-        "integrity",
-        certificate_digest(certificate_to_dict(cert)) == cert.digest,
-        "content digest must match the stored digest",
-    ):
-        return fail("integrity")
-
-    return VerifyReport(True, downgraded, tuple(checks), None)

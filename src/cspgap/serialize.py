@@ -19,7 +19,7 @@ import os
 import warnings
 from fractions import Fraction
 
-from .basic_lp import LocalDistributionSolution, verify_local_solution
+from .basic_lp import LocalDistributionSolution
 from .core import Constraint, Instance, Predicate, PredicateFamily
 from .core import digits_to_tuple, tuple_to_digits
 from .errors import ValidationError
@@ -60,7 +60,7 @@ def family_to_dict(fam: PredicateFamily) -> dict:
 
 def family_from_dict(data: dict) -> PredicateFamily:
     try:
-        q = strict(data["q"], int)
+        q = strict(strict(data, dict)["q"], int)
         k = strict(data["k"], int)
         predicates = tuple(
             Predicate(q, k, strict(entry["name"], str), strict_ints(entry["table"]))
@@ -71,10 +71,9 @@ def family_from_dict(data: dict) -> PredicateFamily:
     return PredicateFamily(predicates)
 
 
-def instance_to_dict(inst: Instance, family="inline") -> dict:
-    """`family` is either "inline" (embed the family) or a path string."""
+def instance_to_dict(inst: Instance) -> dict:
     return {
-        "family": family_to_dict(inst.family) if family == "inline" else family,
+        "family": family_to_dict(inst.family),
         "n": inst.n,
         "constraints": [
             {"f": c.predicate, "vars": list(c.variables), "w": c.weight}
@@ -83,17 +82,15 @@ def instance_to_dict(inst: Instance, family="inline") -> dict:
     }
 
 
-def instance_from_dict(data: dict, base_dir: str = ".") -> Instance:
+def instance_from_dict(data: dict) -> Instance:
+    """An instance whose "family" is an inline family object (see `load_instance`)."""
     try:
         family_field = data["family"]
         n = strict(data["n"], int)
         raw_constraints = strict(data["constraints"], list)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance object: {exc!r}") from exc
-    if isinstance(family_field, str):
-        fam = load_family(os.path.join(base_dir, family_field))
-    else:
-        fam = family_from_dict(family_field)
+    fam = family_from_dict(family_field)
     constraints = []
     for entry in raw_constraints:
         try:
@@ -128,7 +125,12 @@ def load_family(path: str) -> PredicateFamily:
 
 
 def load_instance(path: str) -> Instance:
-    return instance_from_dict(load_json(path), base_dir=os.path.dirname(path) or ".")
+    """An instance file; a string "family" names a family file relative to it."""
+    data = load_json(path)
+    if isinstance(data, dict) and isinstance(data.get("family"), str):
+        base_dir = os.path.dirname(path) or "."
+        data["family"] = load_json(os.path.join(base_dir, data["family"]))
+    return instance_from_dict(data)
 
 
 def save_json(path: str, data: dict) -> None:
@@ -172,9 +174,7 @@ def solution_from_dict(data: dict, inst: Instance) -> LocalDistributionSolution:
             locals_.append(tuple(masses))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed solution object: {exc!r}") from exc
-    sol = LocalDistributionSolution(inst, tuple(locals_), marginals, value)
-    verify_local_solution(inst, sol)
-    return sol
+    return LocalDistributionSolution(inst, tuple(locals_), marginals, value)
 
 
 def pair_distribution_to_dict(dist: PairDistribution) -> dict:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lp
-from .basic_lp import LocalDistributionSolution, verify_local_solution
-from .core import Predicate, PredicateFamily, Instance, rho_product_lower, rho_upper_empirical
+from .basic_lp import LocalDistributionSolution
+from .core import Predicate, PredicateFamily, Instance, rho_upper_empirical
 from .core import compositions, tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
 from .rationals import to_fraction
@@ -189,23 +189,27 @@ def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
     return _KernelScorer(dist).score(kernel.rows)
 
 
-def no_sup_search(
-    dist: PairDistribution,
-    budget: int = 160,
-    seed: int = 0,
-    snap_denominator: int = 64,
-):
+# Kernel evaluations one search may spend.  A certificate stores its budget
+# and `verify-cert` replays the search, so the cap also bounds verification.
+MAX_NO_SUP_BUDGET = 10_000
+# Denominator of the random starts and the finest ascent step.
+SNAP_DENOMINATOR = 64
+
+
+def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     """Best rerandomization kernel found within a fixed evaluation budget.
 
     Scans all q^q deterministic kernels, a coordinate lattice, and seeded
-    multistart local ascent (step sizes snapped to `snap_denominator` so
+    multistart local ascent (step sizes snapped to `SNAP_DENOMINATOR` so
     every reported kernel is an exact rational point).  The result is a
     certified lower bound on the supremum over all kernels; ties break
     toward the lexicographically smallest kernel.  Deterministic for a
-    fixed (budget, seed) pair.
+    fixed (budget, seed) pair; the budget must lie in [1, MAX_NO_SUP_BUDGET].
     """
-    if budget < 1:
-        raise ValidationError("kernel search needs a positive budget")
+    if not 1 <= budget <= MAX_NO_SUP_BUDGET:
+        raise ValidationError(
+            f"kernel search budget must be in [1, {MAX_NO_SUP_BUDGET}], got {budget}"
+        )
     q = dist.family.q
     scorer = _KernelScorer(dist)
     state = {"evals": 0, "best": None, "best_rows": None}
@@ -236,26 +240,25 @@ def no_sup_search(
         score(tuple(combo))
 
     rng = random.Random(seed)
-    snap = snap_denominator
     moves = [
         (sigma, up, down, Fraction(1, den))
         for sigma in range(q)
         for up in range(q)
         for down in range(q)
         if up != down
-        for den in (4, 16, snap)
+        for den in (4, 16, SNAP_DENOMINATOR)
     ]
     while state["evals"] < budget:
         counts = []
         for _ in range(q):
             row = [0] * q
-            remaining = snap
+            remaining = SNAP_DENOMINATOR
             for j in range(q - 1):
                 row[j] = rng.randint(0, remaining)
                 remaining -= row[j]
             row[q - 1] = remaining
             counts.append(row)
-        current = tuple(tuple(Fraction(c, snap) for c in row) for row in counts)
+        current = tuple(tuple(Fraction(c, SNAP_DENOMINATOR) for c in row) for row in counts)
         current_value = score(current)
         improved = True
         while improved and state["evals"] < budget:
@@ -285,10 +288,13 @@ def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
     The yes side pushes each constraint's local distribution forward onto its
     predicate; the no side replaces the local distribution by the product of
     the constraint's variable marginals.  Both are reweighted by constraint
-    weight.  Before returning, the pair is checked exactly: equal marginal
-    vectors, and yes-side satisfaction equal to the solution objective.
+    weight.  The solution checked itself against its own instance when it
+    was built, so here it only has to belong to `inst`.  Before returning,
+    the pair is checked exactly: equal marginal vectors, and yes-side
+    satisfaction equal to the solution objective.
     """
-    verify_local_solution(inst, sol)
+    if sol.instance != inst:
+        raise ValidationError("the solution belongs to a different instance")
     fam = inst.family
     q, k = fam.q, fam.k
     size = q**k
@@ -392,7 +398,7 @@ class SupportClassification:
 
 def support_classification(
     fam: PredicateFamily,
-    rho_precision=Fraction(1, 64),
+    rho_lower: Fraction,
     n_max: int = 4,
     upper_budget: int = 128,
     subfamily_cap: int = 4096,
@@ -402,10 +408,11 @@ def support_classification(
     "strong" needs every predicate to support it individually.  Otherwise a
     strongly-supporting subfamily qualifies as "weak" when the threshold
     brackets prove its trivial threshold equals the full family's: the
-    subfamily's empirical upper bound must not exceed the family's product
-    lower bound (thresholds only drop when predicates are added, so the
-    chain collapses to equality).  Overlapping brackets leave "unknown";
-    no supporting subfamily at all is "none".
+    subfamily's empirical upper bound must not exceed `rho_lower`, a lower
+    bound on the family's threshold such as `rho_product_lower` (thresholds
+    only drop when predicates are added, so the chain collapses to
+    equality).  Overlapping brackets leave "unknown"; no supporting
+    subfamily at all is "none".
     """
     decisions = [onewise_support(p) for p in fam.predicates]
     supporting = tuple(d.predicate for d in decisions if d.supports)
@@ -417,11 +424,10 @@ def support_classification(
         raise BudgetError(
             f"{2 ** len(supporting) - 1} candidate subfamilies exceed the cap"
         )
-    lower_full = rho_product_lower(fam, rho_precision)
     for size in range(len(supporting), 0, -1):
         for names in itertools.combinations(supporting, size):
             sub = fam.subfamily(names)
             upper_sub = rho_upper_empirical(sub, n_max, budget=upper_budget)
-            if upper_sub <= lower_full:
+            if upper_sub <= rho_lower:
                 return SupportClassification(WEAK, names, supporting)
     return SupportClassification(UNKNOWN, None, supporting)

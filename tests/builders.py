@@ -1,6 +1,7 @@
 """Shared generators for the test suite: canonical instances and random LPs."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -64,3 +65,39 @@ def dicut_complete(t):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def mutate_leaves(data):
+    """Yield (path, mutated copy) pairs, one canonical mutation per leaf."""
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key in sorted(node):
+                yield from walk(node[key], path + [key])
+        elif isinstance(node, list):
+            for idx, item in enumerate(node):
+                yield from walk(item, path + [idx])
+        else:
+            yield path, node
+
+    def with_mutation(path, value):
+        copy = json.loads(json.dumps(data))
+        target = copy
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return copy
+
+    for path, leaf in walk(data, []):
+        if isinstance(leaf, bool):
+            mutated = not leaf
+        elif isinstance(leaf, int):
+            mutated = leaf + 7
+        elif isinstance(leaf, str) and "/" in leaf:
+            num, den = leaf.split("/")
+            mutated = f"{int(num) + 1}/{den}"
+        elif isinstance(leaf, str):
+            mutated = leaf + "x"
+        else:
+            continue
+        yield ".".join(map(str, path)), with_mutation(path, mutated)

@@ -17,7 +17,6 @@ never meets it at a finite n.
 """
 
 import itertools
-import json
 import subprocess
 import sys
 import time
@@ -27,7 +26,7 @@ from math import comb
 import pytest
 
 import conftest
-from builders import cycle_instance, random_lp, seeded, triangle
+from builders import cycle_instance, mutate_leaves, random_lp, seeded, triangle
 from cspgap import (
     Constraint,
     Instance,
@@ -219,8 +218,9 @@ def test_criterion_7_onewise_decisions():
     dicut_result = onewise_support(dicut_family().predicates[0])
     assert not dicut_result.supports
     assert dicut_result.refutation is not None
-    assert support_classification(cut_family()).kind == "strong"
-    assert support_classification(dicut_family()).kind == "none"
+    for fam, kind in ((cut_family(), "strong"), (dicut_family(), "none")):
+        lower = rho_product_lower(fam, Fraction(1, 64))
+        assert support_classification(fam, lower).kind == kind
     _report(7, True, "cut: witness + strong; dicut: Farkas refusal + none")
 
 
@@ -250,42 +250,6 @@ def test_criterion_8_trivial_threshold_brackets():
     )
 
 
-def _mutate_leaves(data):
-    """Yield (path, mutated copy) pairs, one canonical mutation per leaf."""
-
-    def walk(node, path):
-        if isinstance(node, dict):
-            for key in sorted(node):
-                yield from walk(node[key], path + [key])
-        elif isinstance(node, list):
-            for idx, item in enumerate(node):
-                yield from walk(item, path + [idx])
-        else:
-            yield path, node
-
-    def with_mutation(path, value):
-        copy = json.loads(json.dumps(data))
-        target = copy
-        for step in path[:-1]:
-            target = target[step]
-        target[path[-1]] = value
-        return copy
-
-    for path, leaf in walk(data, []):
-        if isinstance(leaf, bool):
-            mutated = not leaf
-        elif isinstance(leaf, int):
-            mutated = leaf + 7
-        elif isinstance(leaf, str) and "/" in leaf:
-            num, den = leaf.split("/")
-            mutated = f"{int(num) + 1}/{den}"
-        elif isinstance(leaf, str):
-            mutated = leaf + "x"
-        else:
-            continue
-        yield ".".join(map(str, path)), with_mutation(path, mutated)
-
-
 def test_criterion_9_certificate_round_trip(tmp_path):
     report = gap_report(cycle_instance(5))
     cert = build_certificate(report, Fraction(1), Fraction(4, 5), seed=0)
@@ -301,7 +265,7 @@ def test_criterion_9_certificate_round_trip(tmp_path):
 
     data = certificate_to_dict(cert)
     mutations = 0
-    for label, mutated in _mutate_leaves(data):
+    for label, mutated in mutate_leaves(data):
         mutations += 1
         try:
             result = verify_certificate(certificate_from_dict(mutated))

@@ -20,7 +20,6 @@ from cspgap import (
     onewise_support,
     point_mass_solution,
     solve_basic_lp,
-    verify_local_solution,
 )
 from cspgap.basic_lp import LocalDistributionSolution, decode_primal
 
@@ -80,7 +79,9 @@ def test_decode_round_trip_consistency():
 
     solution = solve(problem)
     decoded = decode_primal(inst, solution.primal, solution.value)
-    verify_local_solution(inst, decoded)  # exact consistency equalities hold
+    # the constructor re-checks every exact consistency equality
+    rebuilt = LocalDistributionSolution(inst, decoded.locals_, decoded.marginals, decoded.value)
+    assert rebuilt == decoded
 
 
 def test_point_mass_embedding_matches_csp_value():
@@ -109,14 +110,10 @@ def test_verify_rejects_broken_solutions():
         v + Fraction(1, 1000) if rank == 0 else v
         for rank, v in enumerate(sol.locals_[0])
     ),)
-    broken = LocalDistributionSolution(inst, broken_locals, sol.marginals, sol.value)
-    with pytest.raises(ValidationError):
-        verify_local_solution(inst, broken)
-    wrong_value = LocalDistributionSolution(
-        inst, sol.locals_, sol.marginals, sol.value - Fraction(1, 7)
-    )
-    with pytest.raises(ValidationError):
-        verify_local_solution(inst, wrong_value)
+    with pytest.raises(ValidationError, match="does not sum to 1"):
+        LocalDistributionSolution(inst, broken_locals, sol.marginals, sol.value)
+    with pytest.raises(ValidationError, match="stated objective"):
+        LocalDistributionSolution(inst, sol.locals_, sol.marginals, sol.value - Fraction(1, 7))
 
 
 def test_lp_from_onewise_cut():

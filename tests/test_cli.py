@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -23,7 +24,15 @@ from cspgap import (
     gap_report,
 )
 from cspgap.cli import main
-from cspgap.serialize import canonical_dumps, family_to_dict, instance_to_dict
+from cspgap.serialize import (
+    canonical_dumps,
+    family_to_dict,
+    instance_to_dict,
+    load_family,
+    load_instance,
+)
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -135,6 +144,39 @@ def test_verify_tampered_certificate(triangle_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL")
 
 
+def test_certificate_must_carry_its_family_inline(
+    triangle_file, tmp_path, monkeypatch, capsys
+):
+    # From the repository root the path would resolve, but a certificate is
+    # verified on its own bytes, wherever the verifier runs.
+    cert_path = tmp_path / "cert.json"
+    argv = ["gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3", "--out"]
+    assert main([*argv, str(cert_path)]) == 0
+    data = json.loads(cert_path.read_text())
+    data["instance"]["family"] = "data/cut_family.json"
+    cert_path.write_text(canonical_dumps(data))
+    monkeypatch.chdir(DATA.parent)
+    capsys.readouterr()
+    assert main(["verify-cert", str(cert_path)]) == 2
+    assert "malformed family object" in capsys.readouterr().err
+
+
+def test_kernel_search_budget_is_capped(triangle_file, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    argv = ["gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3"]
+    argv += ["--out", str(cert_path)]
+    assert main([*argv, "--no-sup-budget", "10001"]) == 2
+    assert "kernel search budget must be in [1, 10000]" in capsys.readouterr().err
+    assert not cert_path.exists()
+    assert main(argv) == 0
+    data = json.loads(cert_path.read_text())
+    data["no_sup"]["budget"] = 10001  # verify-cert would replay a search this long
+    cert_path.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert main(["verify-cert", str(cert_path)]) == 2
+    assert "kernel search budget must be in [1, 10000]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section", ["locals", "yes_distribution"])
 def test_verify_rejects_non_digit_tuple_key(triangle_file, tmp_path, capsys, section):
     cert_path = tmp_path / "cert.json"
@@ -237,38 +279,73 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-# Integers stay small: verify-cert re-runs the kernel search with the stored budget.
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-2, 200)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=4)
-    | st.sampled_from(["1/1", "2/3", "0", "01", "cut", "0.1.0"]),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=3), children, max_size=3),
-    max_leaves=6,
-)
+def json_values(largest):
+    """Generated JSON documents whose integers lie in [-2, largest]."""
+    return st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-2, largest)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=4)
+        | st.sampled_from(["1/1", "2/3", "0", "01", "cut", "0.1.0"]),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=3), children, max_size=3),
+        max_leaves=6,
+    )
+
+
+def replace_one_node(data, original, values):
+    """A copy of `original` with one node below the root replaced by a drawn value."""
+    target = data.draw(st.sampled_from(list(_paths(original))))
+    mutated = copy.deepcopy(original)
+    node = mutated
+    for key in target[:-1]:
+        node = node[key]
+    node[target[-1]] = data.draw(values)
+    return mutated
+
+
+def quiet_main(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a zero weight is dropped with a warning
+            return main(argv)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_verify_cert_exit_code_contract_on_any_replaced_node(triangle_certificate, data):
     original, path = triangle_certificate
-    target = data.draw(st.sampled_from(list(_paths(original))))
-    mutated = copy.deepcopy(original)
-    node = mutated
-    for key in target[:-1]:
-        node = node[key]
-    node[target[-1]] = data.draw(JSON_VALUES)
+    # Integers stay small: verify-cert re-runs the kernel search with the stored budget.
+    mutated = replace_one_node(data, original, json_values(200))
     path.write_text(canonical_dumps(mutated))
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a zero weight is dropped with a warning
-            code = main(["verify-cert", str(path)])
+    code = quiet_main(["verify-cert", str(path)])
     assert code in (0, 1, 2)
     if code == 0:
         assert certificate_to_dict(certificate_from_dict(mutated)) == original
+
+
+@pytest.mark.parametrize("source, argv, loader", [
+    ("triangle.json", ["lp-solve"], load_instance),
+    ("cut_family.json",
+     ["family-stats", "--n-max", "3", "--budget", "8", "--precision", "1/4"], load_family),
+], ids=["instance", "family"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_input_file_exit_code_contract_on_any_replaced_node(
+    tmp_path_factory, source, argv, loader, data
+):
+    original = json.loads((DATA / source).read_text())
+    # Integers stay small so that no relaxation or enumeration grows large.
+    mutated = replace_one_node(data, original, json_values(12))
+    path = tmp_path_factory.mktemp("inputs") / source
+    path.write_text(canonical_dumps(mutated))
+    code = quiet_main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 2)
+    if code == 0:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loader(str(path))  # a file that runs is a file that loads
 
 
 def test_gap_search_writes_certificate(cut_family_file, tmp_path):
@@ -305,12 +382,9 @@ def test_json_outputs_are_byte_identical_across_runs(cut_family_file):
 
 
 def test_bundled_data_files_match_documented_values():
-    import pathlib
-
-    data = pathlib.Path(__file__).resolve().parent.parent / "data"
-    assert main(["family-stats", str(data / "cut_family.json"), "--json"]) == 0
-    assert main(["lp-solve", str(data / "c5.json"), "--brute-force", "--json"]) == 0
-    assert main(["lp-solve", str(data / "triangle.json"), "--brute-force"]) == 0
+    assert main(["family-stats", str(DATA / "cut_family.json"), "--json"]) == 0
+    assert main(["lp-solve", str(DATA / "c5.json"), "--brute-force", "--json"]) == 0
+    assert main(["lp-solve", str(DATA / "triangle.json"), "--brute-force"]) == 0
 
 
 def test_progress_goes_to_stderr_not_stdout(cut_family_file, tmp_path):

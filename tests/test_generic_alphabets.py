@@ -49,8 +49,8 @@ def test_ternary_family_stats():
     fam = ternary_neq_family()
     assert onewise_support(fam.predicates[0]).supports
     assert width(fam).value == 1
-    assert support_classification(fam, n_max=3, upper_budget=8).kind == "strong"
     lower = rho_product_lower(fam, Fraction(1, 64))
+    assert support_classification(fam, lower, n_max=3, upper_budget=8).kind == "strong"
     # The exact maximin is 2/3 (uniform product assignment); the power-of-two
     # lattice never contains (1/3, 1/3, 1/3), so the bound sits just below.
     assert Fraction(2, 3) - Fraction(1, 64) <= lower <= Fraction(2, 3)

@@ -8,11 +8,24 @@ as a digest mismatch.
 """
 
 import hashlib
+import io
 import itertools
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from cspgap import Constraint, Instance, Predicate, PredicateFamily
+from builders import cycle_instance, mutate_leaves, triangle
+from cspgap import (
+    Constraint,
+    Instance,
+    Predicate,
+    PredicateFamily,
+    build_certificate,
+    certificate_to_dict,
+    gap_report,
+)
 from cspgap.cli import main
 from cspgap.serialize import canonical_dumps, instance_to_dict
 
@@ -55,6 +68,8 @@ DIGESTS = {
         "365483338bc263ae94b15272ca522e2594096052b78abcdab17876cf4245604c",
     ("ternary", "lp-solve"):
         "5ca8b6d3fabd50471e21a7a5a924575430fafbebea8229c1446e0fe8add5aa4c",
+    "verify-cert":
+        "4f5ab4ae27f69cf4b592a2528c68b60840fc15fc073c15c53e4b9fde6835f61d",
 }
 
 
@@ -83,3 +98,38 @@ def test_k4_certificate_bytes(tmp_path):
             "--out", str(cert)]
     assert main(argv) == 0
     assert sha256(cert.read_bytes()) == DIGESTS[("k4", "certificate")]
+
+
+VERIFY_FLAG_SETS = ([], ["--json"], ["--json", "--budget", "4"])
+
+
+def test_verify_cert_outcomes_on_every_leaf_mutation(tmp_path, monkeypatch):
+    """A C5 and a triangle certificate and each of their single-leaf mutations.
+
+    One digest covers stdout, stderr and the exit code of each `verify-cert`
+    run under three flag sets, so a change to which clause fails first, to a
+    detail message or to an exit code shows up here.
+    """
+    monkeypatch.chdir(tmp_path)  # error messages name the file: keep it relative
+    certs = [
+        build_certificate(gap_report(cycle_instance(5)), Fraction(1), Fraction(4, 5)),
+        build_certificate(gap_report(triangle()), Fraction(1), Fraction(2, 3)),
+    ]
+    digest = hashlib.sha256()
+    runs = 0
+    for cert in certs:
+        original = certificate_to_dict(cert)
+        for label, mutated in [("original", original), *mutate_leaves(original)]:
+            with open("cert.json", "w", encoding="utf-8") as handle:
+                handle.write(canonical_dumps(mutated))
+            for flags in VERIFY_FLAG_SETS:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = main(["verify-cert", "cert.json", *flags])
+                digest.update(f"{label}|{flags}|{code}\n".encode())
+                for stream in (out, err):
+                    digest.update(stream.getvalue().encode() + b"\0")
+                runs += 1
+    assert runs == 420
+    assert digest.hexdigest() == DIGESTS["verify-cert"]

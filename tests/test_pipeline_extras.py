@@ -105,8 +105,9 @@ def test_support_classification_subfamily_cap():
         Predicate(2, 2, f"one{i}", (1, 1, 1, 1)) for i in range(13)
     ) + (Predicate(2, 2, "is0", (1, 1, 0, 0)),)
     fam = PredicateFamily(ones)
+    lower = rho_product_lower(fam, Fraction(1, 64))
     with pytest.raises(BudgetError):
-        support_classification(fam, subfamily_cap=4096)
+        support_classification(fam, lower, subfamily_cap=4096)
 
 
 def _numbers(*values):

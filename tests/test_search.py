@@ -1,21 +1,28 @@
 """Instance enumeration, gap search, and certificate verification."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import cspgap.search
 from builders import cycle_instance, triangle
 from cspgap import (
+    Constraint,
+    Instance,
     SearchConfig,
     ValidationError,
     build_certificate,
     certificate_from_dict,
     certificate_to_dict,
+    construct_yes_no,
     cut_family,
     enumerate_instances,
     gap_report,
+    point_mass_solution,
     search_gap,
+    solve_basic_lp,
     verify_certificate,
 )
 
@@ -192,3 +199,34 @@ def test_verification_downgrades_on_budget():
     assert result.ok and result.downgraded
     assert any(name == "csp_optimum" and "skipped" in detail
                for name, _, detail in result.checks)
+
+
+@pytest.mark.parametrize("other", [
+    cycle_instance(5),
+    # the triangle with its last edge reversed: the triangle's own solution fits it
+    Instance(cut_family(), 3, tuple(Constraint("cut", e) for e in ((1, 2), (2, 3), (1, 3)))),
+], ids=["c5", "relabeled-triangle"])
+def test_solution_for_another_instance_is_rejected(other):
+    cert = build_certificate(gap_report(triangle()), Fraction(1), Fraction(2, 3))
+    foreign = solve_basic_lp(other)
+    with pytest.raises(ValidationError, match="different instance"):
+        construct_yes_no(cert.instance, foreign)
+    result = verify_certificate(replace(cert, solution=foreign))
+    assert not result.ok and result.failure == "solution_feasible"
+
+
+def test_verification_stops_at_the_first_failed_clause(monkeypatch):
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the kernel search ran after a failed clause")
+
+    inst = cycle_instance(5)
+    cert = build_certificate(gap_report(inst), Fraction(1), Fraction(4, 5))
+    monkeypatch.setattr(cspgap.search, "no_sup_search", no_replay)
+    # A feasible but suboptimal solution whose value is also the stated lp_value:
+    # every clause before lp_optimum holds and lp_optimum fails.
+    suboptimal = point_mass_solution(inst, (0, 1, 0, 1, 1))
+    cert = replace(cert, solution=suboptimal, lp_value=suboptimal.value)
+    result = verify_certificate(cert, assignment_budget=4)  # would skip csp_optimum
+    assert result.failure == "lp_optimum" and not result.ok
+    assert [name for name, _, _ in result.checks][-2:] == ["solution_objective", "lp_optimum"]
+    assert not result.downgraded

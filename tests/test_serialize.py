@@ -74,9 +74,12 @@ def test_instance_file_with_family_path(tmp_path):
     fam_path = tmp_path / "fam.json"
     fam_path.write_text(canonical_dumps(family_to_dict(cut_family())))
     inst_path = tmp_path / "inst.json"
-    data = instance_to_dict(triangle(), family="fam.json")
+    data = instance_to_dict(triangle())
+    data["family"] = "fam.json"  # resolved relative to the instance file
     inst_path.write_text(canonical_dumps(data))
     assert load_instance(str(inst_path)) == triangle()
+    with pytest.raises(ValidationError, match="malformed family object"):
+        instance_from_dict(data)  # only a file may name its family by path
 
 
 def test_zero_weight_constraints_dropped_with_warning():

@@ -20,6 +20,7 @@ from cspgap import (
     no_value,
     onewise_support,
     point_mass_solution,
+    rho_product_lower,
     support_classification,
     yes_value,
 )
@@ -164,9 +165,11 @@ def test_construct_yes_no_rejects_invalid_solution():
     sol = point_mass_solution(inst, (0, 1, 0))
     from cspgap.basic_lp import LocalDistributionSolution
 
-    bad = LocalDistributionSolution(inst, sol.locals_, sol.marginals, sol.value + 1)
-    with pytest.raises(ValidationError):
-        construct_yes_no(inst, bad)
+    # a misvalued (or infeasible) solution cannot be built, so it never gets here
+    with pytest.raises(ValidationError, match="stated objective"):
+        LocalDistributionSolution(inst, sol.locals_, sol.marginals, sol.value + 1)
+    with pytest.raises(ValidationError, match="different instance"):
+        construct_yes_no(cycle_instance(5), sol)
 
 
 def test_onewise_support_cut():
@@ -202,10 +205,14 @@ def test_onewise_support_constant_and_empty():
     assert not onewise_support(never).supports
 
 
+def classify(fam, **options):
+    return support_classification(fam, rho_product_lower(fam, Fraction(1, 64)), **options)
+
+
 def test_support_classification():
-    assert support_classification(CUT).kind == "strong"
-    assert support_classification(dicut_family()).kind == "none"
-    assert support_classification(constant_one_family()).kind == "strong"
+    assert classify(CUT).kind == "strong"
+    assert classify(dicut_family()).kind == "none"
+    assert classify(constant_one_family()).kind == "strong"
 
 
 def test_support_classification_weak():
@@ -219,7 +226,7 @@ def test_support_classification_weak():
     one = constant_one_family().predicates[0]
     first0 = Predicate(2, 2, "first0", (1, 1, 0, 0))
     mixed = PredicateFamily((one, first0))
-    result = support_classification(mixed, n_max=3, upper_budget=16)
+    result = classify(mixed, n_max=3, upper_budget=16)
     assert result.kind == "weak"
     assert result.subfamily == ("one",)
     assert result.supporting == ("one",)
@@ -232,6 +239,6 @@ def test_support_classification_unknown_when_brackets_overlap():
     # family threshold (1/4 from dicut) sits strictly below any small-size
     # upper bound for {cut}, so the brackets cannot prove equality.
     mixed = PredicateFamily(cut_family().predicates + dicut_family().predicates)
-    result = support_classification(mixed, n_max=4, upper_budget=48)
+    result = classify(mixed, n_max=4, upper_budget=48)
     assert result.kind == "unknown"
     assert result.supporting == ("cut",)
