@@ -45,7 +45,6 @@ from .lp import (
     check_feasible,
     dump_lp,
     solve,
-    vertex_enum_oracle,
 )
 from .rationals import format_rational, parse_rational, to_fraction
 from .search import (

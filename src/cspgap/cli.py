@@ -79,6 +79,7 @@ def cmd_gap_check(args) -> int:
     beta = parse_rational(args.beta)
     if not 0 <= beta < gamma <= 1:
         raise ToolkitError(f"need 0 <= beta < gamma <= 1, got {args.beta}, {args.gamma}")
+    witnesses.check_no_sup_budget(args.no_sup_budget)
     report = basic_lp.gap_report(inst, assignment_budget=args.budget)
     data = {
         "lp_value": format_rational(report.lp_value),
@@ -243,9 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves the parser unchanged, so one instance serves
+# every call in the process.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ToolkitError, OSError) as exc:

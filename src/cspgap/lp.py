@@ -1,10 +1,11 @@
 """Exact rational linear programming for standard-form problems.
 
 Problems are "maximize c.x subject to A x = b, x >= 0" with every entry an
-exact rational.  The solver is a dense two-phase primal simplex using
-Bland's anti-cycling rule (lowest eligible index enters; ratio ties break
-toward the lowest basic index), which makes every run terminating and
-deterministic.  Nothing is returned unverified:
+exact rational.  The solver is a two-phase primal simplex on a fraction-free
+tableau (integer-preserving pivoting: each row is Python ints over one
+positive denominator) using Bland's anti-cycling rule (lowest eligible index
+enters; ratio ties break toward the lowest basic index), which makes every
+run terminating and deterministic.  Nothing is returned unverified:
 
   * optimal    -- the primal is re-checked against A x = b, x >= 0, c.x = value,
                   and a dual vector read off the final tableau certifies
@@ -14,20 +15,18 @@ deterministic.  Nothing is returned unverified:
   * unbounded  -- comes with an exact improving ray r satisfying
                   A r = 0, r >= 0, c.r > 0.
 
-`vertex_enum_oracle` computes the same answer by enumerating basic
-solutions with Gaussian elimination; it shares no code with the simplex
-path and exists so tests can cross-check the solver exactly.
+The checks run in `Fraction` arithmetic on the problem's own data, not on
+the tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import gcd, lcm
 from typing import Optional
 
-from .errors import BudgetError, InternalError, ValidationError
+from .errors import InternalError, ValidationError
 from .rationals import format_rational, to_fraction
 
 OPTIMAL = "optimal"
@@ -45,10 +44,13 @@ class LpProblem:
     labels: tuple
 
     def __post_init__(self):
-        objective = tuple(to_fraction(v) for v in self.objective)
-        rows = tuple(tuple(to_fraction(v) for v in row) for row in self.rows)
-        rhs = tuple(to_fraction(v) for v in self.rhs)
-        labels = tuple(str(s) for s in self.labels)
+        # Tuples are built from lists: tuple(<generator>) grows a 10-slot
+        # tuple by resizing, which parks thousands of freed tuples of sizes
+        # 11-20 on the interpreter's free lists and raises the peak RSS.
+        objective = tuple([to_fraction(v) for v in self.objective])
+        rows = tuple([tuple([to_fraction(v) for v in row]) for row in self.rows])
+        rhs = tuple([to_fraction(v) for v in self.rhs])
+        labels = tuple([str(s) for s in self.labels])
         n = len(objective)
         if len(labels) != n:
             raise ValidationError(f"{len(labels)} labels for {n} variables")
@@ -113,13 +115,47 @@ def dump_lp(problem: LpProblem) -> str:
     return "\n".join(lines)
 
 
+def _over_lcd(values):
+    """(numerators, den): ints or Fractions as ints over their least common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return [p * (den // d) for p, d in ratios], den
+
+
+def _eliminate(target: list, den: int, f: int, row: list, a: int, support):
+    """target/den - (f/den) * (row/a), as ints over a positive denominator in lowest terms.
+
+    `f` is target's entry in the pivot column, `a` (> 0) is row's and
+    `support` lists the columns where row is nonzero.
+    """
+    if a == 1:
+        new = target[:]
+    else:
+        new = [a * t for t in target]
+        den *= a
+    for j in support:
+        new[j] -= f * row[j]
+    if den > 1:
+        g = gcd(den, *new)
+        if g > 1:
+            new = [v // g for v in new]
+            den //= g
+    return new, den
+
+
 class _Tableau:
-    """Dense simplex tableau over exact rationals.
+    """Fraction-free simplex tableau.
 
     Columns are the n problem variables followed by one artificial variable
-    per row; the final column is the right-hand side.  Rows whose rhs is
-    negative are sign-flipped on entry so the artificial basis is feasible;
-    `signs` remembers the flips for mapping certificates back.
+    per row; the final column is the right-hand side.  Row r stands for
+    `rows[r] / dens[r]`: a list of Python ints over one positive denominator,
+    kept in lowest terms, so the basic entry of each row equals its
+    denominator.  The reduced-cost row is `reduced / reduced_den` in the same
+    form.  Scaling a row by a positive number keeps every sign and ratio
+    order that Bland's rule reads, so the pivot path is the one an exact
+    rational tableau takes.  Rows whose rhs is negative are sign-flipped on
+    entry so the artificial basis is feasible; `signs` remembers the flips
+    for mapping certificates back.
     """
 
     def __init__(self, problem: LpProblem):
@@ -128,48 +164,60 @@ class _Tableau:
         self.ncols = self.n + self.m
         self.signs = []
         self.rows = []
-        for i in range(self.m):
-            sign = 1 if problem.rhs[i] >= 0 else -1
+        self.dens = []
+        for i, (coeffs, b) in enumerate(zip(problem.rows, problem.rhs)):
+            nums, den = _over_lcd((*coeffs, b))
+            sign = 1 if nums[-1] >= 0 else -1
+            if sign < 0:
+                nums = [-v for v in nums]
+            row = nums[:-1] + [0] * self.m + nums[-1:]
+            row[self.n + i] = den
             self.signs.append(sign)
-            row = [sign * v for v in problem.rows[i]]
-            row.extend(Fraction(1) if j == i else Fraction(0) for j in range(self.m))
-            row.append(sign * problem.rhs[i])
             self.rows.append(row)
+            self.dens.append(den)
         self.basis = [self.n + i for i in range(self.m)]
         self.reduced = []
+        self.reduced_den = 1
         self.pivots = 0
 
     def load_costs(self, costs):
         """Install a cost row and eliminate the current basic columns."""
-        reduced = list(costs) + [Fraction(0)]
+        reduced, den = _over_lcd(costs)
+        reduced.append(0)
         for r, bj in enumerate(self.basis):
             f = reduced[bj]
             if f:
                 row = self.rows[r]
-                reduced = [a - f * b for a, b in zip(reduced, row)]
-        self.reduced = reduced
+                support = [j for j, v in enumerate(row) if v]
+                reduced, den = _eliminate(reduced, den, f, row, self.dens[r], support)
+        self.reduced, self.reduced_den = reduced, den
 
     @property
-    def objective_value(self):
-        return -self.reduced[-1]
+    def objective_value(self) -> Fraction:
+        return Fraction(-self.reduced[-1], self.reduced_den)
 
     def pivot(self, pr: int, pc: int):
         row = self.rows[pr]
-        piv = row[pc]
-        if piv != 1:
-            inv = 1 / piv
-            row = [v * inv for v in row]
+        a = row[pc]
+        if a < 0:
+            row = [-v for v in row]
             self.rows[pr] = row
-        for i in range(self.m):
-            if i == pr:
-                continue
-            f = self.rows[i][pc]
-            if f:
-                other = self.rows[i]
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
+            a = -a
+        # The old basic entry equals the old denominator, so the row stays in
+        # lowest terms with `a` as its denominator.
+        self.dens[pr] = a
+        support = [j for j, v in enumerate(row) if v]
+        for i, other in enumerate(self.rows):
+            f = other[pc]
+            if f and i != pr:
+                self.rows[i], self.dens[i] = _eliminate(
+                    other, self.dens[i], f, row, a, support
+                )
         f = self.reduced[pc]
         if f:
-            self.reduced = [a - f * b for a, b in zip(self.reduced, row)]
+            self.reduced, self.reduced_den = _eliminate(
+                self.reduced, self.reduced_den, f, row, a, support
+            )
         self.basis[pr] = pc
         self.pivots += 1
 
@@ -185,45 +233,65 @@ class _Tableau:
                     break
             if pc is None:
                 return None
+            # Ratio rhs_i / a_i compared by cross-multiplying; the row
+            # denominators cancel.
             pr = None
-            best_ratio = None
-            best_var = None
-            for i in range(self.m):
-                a = self.rows[i][pc]
+            for i, row in enumerate(self.rows):
+                a = row[pc]
                 if a > 0:
-                    ratio = self.rows[i][-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < best_var)
-                    ):
-                        best_ratio, pr, best_var = ratio, i, self.basis[i]
+                    if pr is not None:
+                        lhs, rhs = row[-1] * best_a, best_b * a
+                        if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[pr]):
+                            continue
+                    pr, best_a, best_b = i, a, row[-1]
             if pr is None:
                 return pc
             self.pivot(pr, pc)
 
-    def dual_vector(self, costs):
+    def dual_vector(self, costs) -> list:
         """y = c_B B^{-1} for the sign-normalized system, read off the
         artificial columns (which carry B^{-1} throughout)."""
-        return [costs[self.n + i] - self.reduced[self.n + i] for i in range(self.m)]
+        return [
+            costs[self.n + i] - Fraction(self.reduced[self.n + i], self.reduced_den)
+            for i in range(self.m)
+        ]
+
+
+def _column_sums(problem: LpProblem, y) -> list:
+    """y.A_j for every column j, summed over the nonzeros of each row."""
+    columns = [0] * problem.num_variables
+    for yi, row in zip(y, problem.rows):
+        if yi:
+            for j, c in enumerate(row):
+                if c:
+                    columns[j] += yi * c
+    return columns
+
+
+def _dot(coeffs, x):
+    return sum(c * v for c, v in zip(coeffs, x) if v)
+
+
+def _row_dots(rows, x) -> list:
+    """row.x for every row, summed over the nonzeros of x."""
+    support = [(j, v) for j, v in enumerate(x) if v]
+    return [sum(row[j] * v for j, v in support if row[j]) for row in rows]
 
 
 def _phase_one(tab: _Tableau, problem: LpProblem) -> Optional[tuple]:
     """Minimize the artificial sum; None if it reaches zero, else a verified Farkas vector."""
-    costs = [Fraction(0)] * tab.n + [Fraction(-1)] * tab.m
+    costs = [0] * tab.n + [-1] * tab.m
     tab.load_costs(costs)
     if tab.optimize([True] * tab.ncols) is not None:
         raise InternalError("phase-one objective is bounded above by zero")
     if tab.objective_value >= 0:
         return None
     y_signed = tab.dual_vector(costs)
-    y = tuple(sign * v for sign, v in zip(tab.signs, y_signed))
+    y = tuple([sign * v for sign, v in zip(tab.signs, y_signed)])
     # Verify against the original data: y.A >= 0 columnwise, y.b < 0.
-    for j in range(problem.num_variables):
-        column = sum(y[i] * problem.rows[i][j] for i in range(problem.num_rows))
-        if column < 0:
-            raise InternalError("Farkas vector fails y.A >= 0")
-    if sum(y[i] * problem.rhs[i] for i in range(problem.num_rows)) >= 0:
+    if any(column < 0 for column in _column_sums(problem, y)):
+        raise InternalError("Farkas vector fails y.A >= 0")
+    if _dot(problem.rhs, y) >= 0:
         raise InternalError("Farkas vector fails y.b < 0")
     return y
 
@@ -245,7 +313,7 @@ def _extract_point(tab: _Tableau) -> list:
     x = [Fraction(0)] * tab.n
     for r, bj in enumerate(tab.basis):
         if bj < tab.n:
-            x[bj] = tab.rows[r][-1]
+            x[bj] = Fraction(tab.rows[r][-1], tab.dens[r])
         elif tab.rows[r][-1] != 0:
             raise InternalError("artificial variable stuck at a nonzero value")
     return x
@@ -254,8 +322,8 @@ def _extract_point(tab: _Tableau) -> list:
 def _verify_primal(problem: LpProblem, x) -> None:
     if any(v < 0 for v in x):
         raise InternalError("primal point has a negative coordinate")
-    for row, b in zip(problem.rows, problem.rhs):
-        if sum(c * v for c, v in zip(row, x)) != b:
+    for ax, b in zip(_row_dots(problem.rows, x), problem.rhs):
+        if ax != b:
             raise InternalError("primal point violates an equality constraint")
 
 
@@ -268,7 +336,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     _drive_out_artificials(tab)
 
-    costs2 = list(problem.objective) + [Fraction(0)] * tab.m
+    costs2 = list(problem.objective) + [0] * tab.m
     tab.load_costs(costs2)
     eligible = [True] * tab.n + [False] * tab.m
     col = tab.optimize(eligible)
@@ -282,14 +350,12 @@ def solve(problem: LpProblem) -> LpSolution:
                 continue
             if bj >= tab.n:
                 raise InternalError("improving ray leaks into an artificial variable")
-            ray[bj] = -a
+            ray[bj] = Fraction(-a, tab.dens[r])
         if any(v < 0 for v in ray):
             raise InternalError("improving ray has a negative coordinate")
-        for row in problem.rows:
-            if sum(c * v for c, v in zip(row, ray)) != 0:
-                raise InternalError("improving ray leaves the null space")
-        gain = sum(c * v for c, v in zip(problem.objective, ray))
-        if gain <= 0:
+        if any(_row_dots(problem.rows, ray)):
+            raise InternalError("improving ray leaves the null space")
+        if _dot(problem.objective, ray) <= 0:
             raise InternalError("improving ray does not improve the objective")
         return LpSolution(
             status=UNBOUNDED,
@@ -300,16 +366,15 @@ def solve(problem: LpProblem) -> LpSolution:
     x = _extract_point(tab)
     _verify_primal(problem, x)
     value = tab.objective_value
-    if sum(c * v for c, v in zip(problem.objective, x)) != value:
+    if _dot(problem.objective, x) != value:
         raise InternalError("objective value disagrees with the primal point")
     # Dual optimality certificate: c_j <= y.A_j for every column, y.b = value.
     y_signed = tab.dual_vector(costs2)
     y = [sign * v for sign, v in zip(tab.signs, y_signed)]
-    for j in range(problem.num_variables):
-        column = sum(y[i] * problem.rows[i][j] for i in range(problem.num_rows))
-        if problem.objective[j] > column:
+    for c, column in zip(problem.objective, _column_sums(problem, y)):
+        if c > column:
             raise InternalError("dual vector fails reduced-cost optimality")
-    if sum(y[i] * problem.rhs[i] for i in range(problem.num_rows)) != value:
+    if _dot(problem.rhs, y) != value:
         raise InternalError("dual vector fails strong duality")
     return LpSolution(
         status=OPTIMAL,
@@ -328,114 +393,3 @@ def check_feasible(problem: LpProblem) -> FeasibilityResult:
     x = _extract_point(tab)
     _verify_primal(problem, x)
     return FeasibilityResult(feasible=True, point=dict(zip(problem.labels, x)))
-
-
-def _solve_on_columns(rows, rhs, selected):
-    """Unique solution of the full system restricted to the selected columns.
-
-    Returns the coefficient list (aligned with `selected`) when the columns
-    are independent and the system is consistent, else None.  Plain Gaussian
-    elimination over exact rationals; deliberately separate from the simplex
-    code so the oracle and the solver share no arithmetic path.
-    """
-    m = len(rows)
-    width = len(selected)
-    aug = [[rows[i][j] for j in selected] + [rhs[i]] for i in range(m)]
-    for pc in range(width):
-        pivot_row = None
-        for i in range(pc, m):
-            if aug[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None  # dependent columns: not a basis
-        aug[pc], aug[pivot_row] = aug[pivot_row], aug[pc]
-        piv = aug[pc][pc]
-        if piv != 1:
-            aug[pc] = [v / piv for v in aug[pc]]
-        for i in range(m):
-            if i != pc and aug[i][pc] != 0:
-                f = aug[i][pc]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[pc])]
-    for i in range(width, m):
-        if aug[i][-1] != 0:
-            return None  # inconsistent with the dropped equations
-    return [aug[t][-1] for t in range(width)]
-
-
-def _matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    m, n = len(work), len(work[0])
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, m):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        piv = work[rank][col]
-        for i in range(rank + 1, m):
-            if work[i][col] != 0:
-                f = work[i][col] / piv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def vertex_enum_oracle(problem: LpProblem, basis_budget: int = 5_000_000) -> LpSolution:
-    """Independent test oracle: optimum by basic-solution enumeration.
-
-    Enumerates every rank-sized column subset, keeps the basic feasible
-    solutions, and takes the exact maximum; unboundedness is decided by
-    enumerating the vertices of the normalized recession cone
-    {r >= 0 : A r = 0, sum r = 1} and testing the objective on each.
-    Intended for small problems only (the subset count is checked against
-    the budget up front).
-    """
-    rows, rhs, objective = problem.rows, problem.rhs, problem.objective
-    n = problem.num_variables
-
-    rank = _matrix_rank(rows)
-    if comb(n, rank) > basis_budget:
-        raise BudgetError(
-            f"basis enumeration needs C({n}, {rank}) = {comb(n, rank)} subsets,"
-            f" budget is {basis_budget}"
-        )
-    best_value = None
-    best_point = None
-    for selected in combinations(range(n), rank):
-        coeffs = _solve_on_columns(rows, rhs, selected)
-        if coeffs is None or any(v < 0 for v in coeffs):
-            continue
-        value = sum((objective[j] * v for j, v in zip(selected, coeffs)), Fraction(0))
-        if best_value is None or value > best_value:
-            best_value = value
-            best_point = dict.fromkeys(problem.labels, Fraction(0))
-            for j, v in zip(selected, coeffs):
-                best_point[problem.labels[j]] = v
-    if best_value is None:
-        # The feasible region contains no line, so no vertex means empty.
-        return LpSolution(status=INFEASIBLE)
-
-    recession_rows = rows + ((Fraction(1),) * n,)
-    recession_rhs = (Fraction(0),) * len(rows) + (Fraction(1),)
-    rank2 = _matrix_rank(recession_rows)
-    if comb(n, rank2) > basis_budget:
-        raise BudgetError(
-            f"recession enumeration needs C({n}, {rank2}) = {comb(n, rank2)} subsets,"
-            f" budget is {basis_budget}"
-        )
-    for selected in combinations(range(n), rank2):
-        coeffs = _solve_on_columns(recession_rows, recession_rhs, selected)
-        if coeffs is None or any(v < 0 for v in coeffs):
-            continue
-        if sum(objective[j] * v for j, v in zip(selected, coeffs)) > 0:
-            return LpSolution(status=UNBOUNDED)
-    return LpSolution(status=OPTIMAL, value=best_value, primal=best_point)

@@ -1,8 +1,9 @@
 """Exact rational arithmetic helpers.
 
-Every number the package computes with is a `fractions.Fraction`
+Every rational the package takes or returns is a `fractions.Fraction`
 (canonical form: reduced, positive denominator); there is no second
-rational type.  Rationals serialize as "p/q" strings.
+rational type.  Only the simplex tableau in `lp` works on Python ints over
+a common denominator.  Rationals serialize as "p/q" strings.
 """
 
 from __future__ import annotations

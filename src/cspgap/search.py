@@ -35,6 +35,7 @@ from .witnesses import (
     MarginalVector,
     PairDistribution,
     SymbolKernel,
+    check_no_sup_budget,
     construct_yes_no,
     marginal_vector,
     no_sup_search,
@@ -276,6 +277,7 @@ def search_gap(
     instance with the largest lp - csp difference (earliest on ties) is
     certified.  Instances are evaluated one at a time, in stream order.
     """
+    check_no_sup_budget(no_sup_budget)
     evaluated = 0
     qualifying = 0
     best: Optional[GapReport] = None

@@ -196,6 +196,14 @@ MAX_NO_SUP_BUDGET = 10_000
 SNAP_DENOMINATOR = 64
 
 
+def check_no_sup_budget(budget: int) -> None:
+    """Reject a kernel-search budget outside [1, MAX_NO_SUP_BUDGET]."""
+    if not 1 <= budget <= MAX_NO_SUP_BUDGET:
+        raise ValidationError(
+            f"kernel search budget must be in [1, {MAX_NO_SUP_BUDGET}], got {budget}"
+        )
+
+
 def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     """Best rerandomization kernel found within a fixed evaluation budget.
 
@@ -206,10 +214,7 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     toward the lexicographically smallest kernel.  Deterministic for a
     fixed (budget, seed) pair; the budget must lie in [1, MAX_NO_SUP_BUDGET].
     """
-    if not 1 <= budget <= MAX_NO_SUP_BUDGET:
-        raise ValidationError(
-            f"kernel search budget must be in [1, {MAX_NO_SUP_BUDGET}], got {budget}"
-        )
+    check_no_sup_budget(budget)
     q = dist.family.q
     scorer = _KernelScorer(dist)
     state = {"evals": 0, "best": None, "best_rows": None}

@@ -27,6 +27,7 @@ import pytest
 
 import conftest
 from builders import cycle_instance, mutate_leaves, random_lp, seeded, triangle
+from oracle import vertex_enum_oracle
 from cspgap import (
     Constraint,
     Instance,
@@ -48,7 +49,6 @@ from cspgap import (
     solve_basic_lp,
     support_classification,
     verify_certificate,
-    vertex_enum_oracle,
     yes_value,
 )
 from cspgap.errors import ToolkitError

@@ -177,6 +177,22 @@ def test_kernel_search_budget_is_capped(triangle_file, tmp_path, capsys):
     assert "kernel search budget must be in [1, 10000]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "10001"])
+def test_kernel_search_budget_is_checked_before_any_evaluation(
+    budget, cut_family_file, triangle_file, monkeypatch, capsys
+):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("instance evaluated before the budget check")
+
+    monkeypatch.setattr("cspgap.basic_lp.gap_report", no_evaluation)
+    monkeypatch.setattr("cspgap.search.gap_report", no_evaluation)
+    targets = ["--gamma", "1/1", "--beta", "2/3", "--no-sup-budget", budget]
+    assert main(["gap-check", triangle_file, *targets]) == 2
+    assert main(["gap-search", "--family", cut_family_file, "--n-max", "3", *targets]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"kernel search budget must be in [1, 10000], got {budget}") == 2
+
+
 @pytest.mark.parametrize("section", ["locals", "yes_distribution"])
 def test_verify_rejects_non_digit_tuple_key(triangle_file, tmp_path, capsys, section):
     cert_path = tmp_path / "cert.json"

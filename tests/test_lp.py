@@ -5,16 +5,20 @@ from math import comb
 
 import pytest
 
-from builders import random_lp, seeded, single_edge
+from builders import cycle_instance, random_lp, seeded, single_edge
+from oracle import vertex_enum_oracle
 from cspgap import (
     BudgetError,
+    Constraint,
+    Instance,
     LpProblem,
     ValidationError,
     build_basic_lp,
     check_feasible,
+    cut_family,
+    dicut_family,
     dump_lp,
     solve,
-    vertex_enum_oracle,
 )
 
 
@@ -169,3 +173,45 @@ def test_dump_lp_format():
     assert lines[0] == "maximize 1/1 v0"
     assert lines[1] == "subject to 1/1 v0 + 1/1 v1 = 1/1"
     assert lines[-1] == "all variables >= 0"
+
+
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def chorded_cycle(rng, fam, name):
+    """C9 plus three weighted chords: a 57-row relaxation, beyond vertex enumeration."""
+    cycle = cycle_instance(9, fam, name)
+    chords = set()
+    while len(chords) < 3:
+        u, v = sorted(rng.sample(range(1, 10), 2))
+        if v - u not in (1, 8):
+            chords.add((u, v))
+    constraints = [Constraint(name, c.variables, rng.randint(1, 3)) for c in cycle.constraints]
+    constraints += [Constraint(name, pair, rng.randint(1, 3)) for pair in sorted(chords)]
+    return Instance(fam, 9, tuple(constraints))
+
+
+def test_solver_agrees_with_highs_beyond_the_oracle():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = seeded(211)
+    problems = [
+        build_basic_lp(chorded_cycle(rng, fam, name))
+        for fam, name in [(cut_family(), "cut"), (dicut_family(), "dicut")] * 4
+    ]
+    assert {p.num_rows for p in problems} == {57}
+    problems += [random_lp(rng, max_vars=30, max_rows=12) for _ in range(40)]
+    statuses = set()
+    for problem in problems:
+        got = solve(problem)
+        want = linprog(
+            [-float(c) for c in problem.objective],
+            A_eq=[[float(v) for v in row] for row in problem.rows] or None,
+            b_eq=[float(b) for b in problem.rhs] or None,
+            bounds=(0, None),
+            method="highs",
+        )
+        assert got.status == HIGHS_STATUS[want.status]
+        if got.status == "optimal":
+            assert abs(float(got.value) + want.fun) <= 1e-9
+        statuses.add(got.status)
+    assert statuses == set(HIGHS_STATUS.values())

@@ -16,15 +16,20 @@ from fractions import Fraction
 
 import pytest
 
-from builders import cycle_instance, mutate_leaves, triangle
+from builders import cycle_instance, mutate_leaves, random_instance, random_lp, seeded, triangle
 from cspgap import (
     Constraint,
     Instance,
     Predicate,
     PredicateFamily,
+    build_basic_lp,
     build_certificate,
     certificate_to_dict,
+    check_feasible,
+    cut_family,
+    dicut_family,
     gap_report,
+    solve,
 )
 from cspgap.cli import main
 from cspgap.serialize import canonical_dumps, instance_to_dict
@@ -70,6 +75,8 @@ DIGESTS = {
         "5ca8b6d3fabd50471e21a7a5a924575430fafbebea8229c1446e0fe8add5aa4c",
     "verify-cert":
         "4f5ab4ae27f69cf4b592a2528c68b60840fc15fc073c15c53e4b9fde6835f61d",
+    "pivot-path":
+        "52807b2b49e2b534d33790f0a0ce8f73796f970bf2081cb4508bdf9e99bd78f0",
 }
 
 
@@ -133,3 +140,26 @@ def test_verify_cert_outcomes_on_every_leaf_mutation(tmp_path, monkeypatch):
                 runs += 1
     assert runs == 420
     assert digest.hexdigest() == DIGESTS["verify-cert"]
+
+
+def pivot_path_problems():
+    """Seeded random LPs (every status) and cut/dicut relaxations (long pivot runs)."""
+    rng = seeded(601)
+    problems = [random_lp(rng) for _ in range(300)]
+    for index in range(60):
+        fam = cut_family() if index % 2 else dicut_family()
+        n = rng.randint(3, 6)
+        inst = random_instance(rng, fam, n, rng.randint(n - 1, 2 * n), max_weight=3)
+        problems.append(build_basic_lp(inst))
+    return problems
+
+
+def test_simplex_pivot_path():
+    """The repr of each solution holds its status, exact value, vertex or
+    certificate and pivot count, so a change to the pivot rule or to what
+    the arithmetic produces shows up as a digest mismatch."""
+    digest = hashlib.sha256()
+    for problem in pivot_path_problems():
+        digest.update(repr(solve(problem)).encode() + b"\n")
+        digest.update(repr(check_feasible(problem)).encode() + b"\n")
+    assert digest.hexdigest() == DIGESTS["pivot-path"]

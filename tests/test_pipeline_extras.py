@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from builders import triangle
+from oracle import vertex_enum_oracle
 from cspgap import (
     BudgetError,
     Constraint,
@@ -28,7 +29,6 @@ from cspgap import (
     support_classification,
     to_fraction,
     verify_certificate,
-    vertex_enum_oracle,
 )
 
 
