@@ -260,7 +260,8 @@ def lp_from_onewise(inst: Instance, witnesses: dict) -> LocalDistributionSolutio
     supported on satisfying tuples and have all single-coordinate marginals
     uniform.  Every constraint reuses its predicate's distribution and every
     variable marginal is uniform, which is consistent by construction; the
-    objective is exactly 1 because no mass sits on unsatisfying tuples.
+    objective is exactly 1 because no mass sits on unsatisfying tuples.  The
+    solution's own checks reject a witness that breaks any of this.
     """
     fam = inst.family
     q, k = fam.q, fam.k
@@ -274,18 +275,6 @@ def lp_from_onewise(inst: Instance, witnesses: dict) -> LocalDistributionSolutio
         masses = [Fraction(0)] * size
         for a, mass in witnesses[name].items():
             masses[pred.index_of(a)] = to_fraction(mass)
-        if any(v < 0 for v in masses) or sum(masses) != 1:
-            raise ValidationError(f"witness for {name!r} is not a distribution")
-        if any(mass and not bit for mass, bit in zip(masses, pred.table)):
-            raise ValidationError(
-                f"witness for {name!r} puts mass on an unsatisfying tuple"
-            )
-        if any(
-            sum(masses[rank] for rank in ranks) != Fraction(1, q)
-            for by_symbol in _position_ranks(q, k)
-            for ranks in by_symbol
-        ):
-            raise ValidationError(f"witness for {name!r} has a non-uniform marginal")
         tables[name] = tuple(masses)
     locals_ = tuple(tables[c.predicate] for c in inst.constraints)
     return LocalDistributionSolution(

@@ -16,6 +16,7 @@ additive group Z_q.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +29,14 @@ DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
 # Symbols of [q] as written in files and LP labels; bounds q from above.
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def int_tuple(values, field: str) -> tuple:
+    """`values` as ints; a float, string or Fraction entry raises, never truncates."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValidationError(f"{field} must be integers, got {values!r}") from None
 
 
 def tuple_to_digits(values) -> str:
@@ -59,7 +68,7 @@ class Predicate:
             raise ValidationError(f"arity must be >= 1, got {self.k}")
         if not self.name:
             raise ValidationError("predicate name must be non-empty")
-        table = tuple(int(v) for v in self.table)
+        table = int_tuple(self.table, f"predicate {self.name!r}: table entries")
         if len(table) != self.q**self.k:
             raise ValidationError(
                 f"predicate {self.name!r}: table has {len(self.table)} entries,"
@@ -147,7 +156,7 @@ class Constraint:
     weight: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(int(v) for v in self.variables))
+        object.__setattr__(self, "variables", int_tuple(self.variables, "constraint variables"))
         if not isinstance(self.weight, int) or self.weight < 1:
             raise ValidationError(
                 f"constraint weight must be a positive integer, got {self.weight!r}"
@@ -203,7 +212,7 @@ class Instance:
 
 
 def _check_assignment(inst: Instance, assignment) -> tuple:
-    a = tuple(int(v) for v in assignment)
+    a = int_tuple(assignment, "assignment entries")
     if len(a) != inst.n:
         raise ValidationError(
             f"assignment has length {len(a)}, instance has n = {inst.n}"
@@ -390,34 +399,23 @@ def rho_upper_empirical(
     if budget < 1:
         raise BudgetError("budget exhausted before any instance was evaluated")
     rng = random.Random(seed)
-    best = None
-    evaluated = 0
 
-    def consider(inst):
-        nonlocal best, evaluated
-        value, _ = brute_force_opt(inst)
-        evaluated += 1
-        if best is None or value < best:
-            best = value
+    def instances():
+        universes = {}
+        for t in range(fam.k, n_max + 1):
+            complete = complete_instance(fam, t)
+            universes[t] = complete.constraints
+            yield complete
+        while True:
+            n = rng.randint(fam.k, n_max)
+            m = rng.randint(1, max(2, 2 * n))
+            constraints = tuple(
+                Constraint(c.predicate, c.variables, rng.randint(1, 2))
+                for c in (rng.choice(universes[n]) for _ in range(m))
+            )
+            yield Instance(fam, n, constraints)
 
-    for t in range(fam.k, n_max + 1):
-        if evaluated >= budget:
-            break
-        consider(complete_instance(fam, t))
-
-    universe_cache = {}
-    while evaluated < budget:
-        n = rng.randint(fam.k, n_max)
-        if n not in universe_cache:
-            universe_cache[n] = constraint_universe(fam, n)
-        universe = universe_cache[n]
-        m = rng.randint(1, max(2, 2 * n))
-        constraints = tuple(
-            Constraint(c.predicate, c.variables, rng.randint(1, 2))
-            for c in (rng.choice(universe) for _ in range(m))
-        )
-        consider(Instance(fam, n, constraints))
-    return best
+    return min(brute_force_opt(inst)[0] for inst in itertools.islice(instances(), budget))
 
 
 @dataclass(frozen=True)

@@ -139,16 +139,10 @@ def save_json(path: str, data: dict) -> None:
 
 
 def solution_to_dict(sol: LocalDistributionSolution) -> dict:
-    inst = sol.instance
-    locals_ = []
-    for ci in range(inst.m):
-        masses = sol.locals_[ci]
-        pred = inst.family[inst.constraints[ci].predicate]
-        locals_.append({
-            tuple_to_digits(pred.tuple_of(rank)): format_rational(mass)
-            for rank, mass in enumerate(masses)
-            if mass
-        })
+    locals_ = [
+        {tuple_to_digits(a): format_rational(mass) for a, mass in sol.local_distribution(ci).items()}
+        for ci in range(sol.instance.m)
+    ]
     return {
         "objective": format_rational(sol.value),
         "marginals": [[format_rational(v) for v in row] for row in sol.marginals],

@@ -26,7 +26,7 @@ from typing import Optional
 from . import lp
 from .basic_lp import LocalDistributionSolution
 from .core import Predicate, PredicateFamily, Instance, rho_upper_empirical
-from .core import compositions, tuple_to_digits
+from .core import compositions, int_tuple, tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
 from .rationals import to_fraction
 
@@ -48,7 +48,7 @@ class PairDistribution:
         ):
             if name not in order:
                 raise ValidationError(f"unknown predicate {name!r} in distribution")
-            values = tuple(int(v) for v in values)
+            values = int_tuple(values, f"tuple of predicate {name!r}")
             if len(values) != k or any(v < 0 or v >= q for v in values):
                 raise ValidationError(f"bad tuple {values} for predicate {name!r}")
             weight = to_fraction(weight)
@@ -128,10 +128,7 @@ class SymbolKernel:
 
     @classmethod
     def identity(cls, q: int) -> "SymbolKernel":
-        return cls(tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(q))
-            for i in range(q)
-        ))
+        return cls.deterministic(range(q))
 
     @classmethod
     def uniform(cls, q: int) -> "SymbolKernel":
@@ -151,13 +148,11 @@ class _KernelScorer:
     """Precompiled evaluator for the no-side value of one distribution."""
 
     def __init__(self, dist: PairDistribution):
-        fam = dist.family
-        self.q = fam.q
         groups = {}
         for (name, values), weight in dist.atoms():
             groups.setdefault(name, []).append((values, weight))
         self.groups = [
-            (fam[name].satisfying_tuples(), atoms) for name, atoms in groups.items()
+            (dist.family[name].satisfying_tuples(), atoms) for name, atoms in groups.items()
         ]
 
     def score(self, rows):
@@ -217,32 +212,27 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     check_no_sup_budget(budget)
     q = dist.family.q
     scorer = _KernelScorer(dist)
-    state = {"evals": 0, "best": None, "best_rows": None}
+    evals = 0
+    best = best_rows = None
 
     def score(rows):
-        state["evals"] += 1
+        nonlocal evals, best, best_rows
+        evals += 1
         value = scorer.score(rows)
-        if (
-            state["best"] is None
-            or value > state["best"]
-            or (value == state["best"] and rows < state["best_rows"])
-        ):
-            state["best"] = value
-            state["best_rows"] = rows
+        if best is None or value > best or (value == best and rows < best_rows):
+            best, best_rows = value, rows
         return value
 
-    for mapping in itertools.product(range(q), repeat=q):
-        if state["evals"] >= budget:
-            break
-        score(SymbolKernel.deterministic(mapping).rows)
-
-    # every kernel row with denominator 4 (q = 2) or 2, lexicographic order
+    # the q^q deterministic kernels, then every kernel with rows over denominator 4 (q = 2) or 2
     den = 4 if q == 2 else 2
     lattice = [tuple(Fraction(c, den) for c in counts) for counts in compositions(den, q)]
-    for combo in itertools.product(lattice, repeat=q):
-        if state["evals"] >= budget:
-            break
-        score(tuple(combo))
+    scan = itertools.chain(
+        (SymbolKernel.deterministic(mapping).rows
+         for mapping in itertools.product(range(q), repeat=q)),
+        itertools.product(lattice, repeat=q),
+    )
+    for rows in itertools.islice(scan, budget):
+        score(rows)
 
     rng = random.Random(seed)
     moves = [
@@ -253,7 +243,7 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
         if up != down
         for den in (4, 16, SNAP_DENOMINATOR)
     ]
-    while state["evals"] < budget:
+    while evals < budget:
         counts = []
         for _ in range(q):
             row = [0] * q
@@ -266,7 +256,7 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
         current = tuple(tuple(Fraction(c, SNAP_DENOMINATOR) for c in row) for row in counts)
         current_value = score(current)
         improved = True
-        while improved and state["evals"] < budget:
+        while improved and evals < budget:
             improved = False
             for sigma, up, down, delta in moves:
                 row = list(current[sigma])
@@ -282,9 +272,9 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
                     current, current_value = candidate, value
                     improved = True
                     break
-                if state["evals"] >= budget:
+                if evals >= budget:
                     break
-    return state["best"], SymbolKernel(state["best_rows"])
+    return best, SymbolKernel(best_rows)
 
 
 def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
@@ -302,18 +292,14 @@ def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
         raise ValidationError("the solution belongs to a different instance")
     fam = inst.family
     q, k = fam.q, fam.k
-    size = q**k
     weight_total = inst.total_weight
     yes_mass = {}
     no_mass = {}
     for ci, constraint in enumerate(inst.constraints):
         share = Fraction(constraint.weight, weight_total)
-        pred = fam[constraint.predicate]
-        masses = sol.locals_[ci]
-        for rank in range(size):
-            if masses[rank]:
-                key = (constraint.predicate, pred.tuple_of(rank))
-                yes_mass[key] = yes_mass.get(key, Fraction(0)) + share * masses[rank]
+        for values, mass in sol.local_distribution(ci).items():
+            key = (constraint.predicate, values)
+            yes_mass[key] = yes_mass.get(key, Fraction(0)) + share * mass
         marginals = [sol.marginals[v - 1] for v in constraint.variables]
         for values in itertools.product(range(q), repeat=k):
             prob = share
@@ -354,7 +340,8 @@ def onewise_support(pred: Predicate) -> OnewiseSupport:
 
     Posed as an exact feasibility problem over masses on the satisfying
     tuples with every positional marginal pinned to 1/q; the answer is a
-    verified witness distribution or the Farkas vector refuting one.
+    witness distribution or the Farkas vector refuting one.  `lp.check_feasible`
+    is the verification: it checks either exactly against these rows.
     """
     q, k = pred.q, pred.k
     satisfying = pred.satisfying_tuples()
@@ -377,14 +364,6 @@ def onewise_support(pred: Predicate) -> OnewiseSupport:
     witness = {
         a: result.point[label] for a, label in zip(satisfying, labels) if result.point[label]
     }
-    total = sum(witness.values())
-    if total != 1:
-        raise InternalError(f"one-wise witness mass sums to {total}")
-    for position in range(k):
-        for symbol in range(q):
-            marginal = sum(w for a, w in witness.items() if a[position] == symbol)
-            if marginal != Fraction(1, q):
-                raise InternalError("one-wise witness has a non-uniform marginal")
     return OnewiseSupport(pred.name, witness, None)
 
 

@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import cycle_instance, random_instance, seeded, single_edge, triangle
 from cspgap import (
     Constraint,
     Instance,
+    Predicate,
+    PredicateFamily,
     ValidationError,
     brute_force_opt,
     build_basic_lp,
@@ -93,6 +97,38 @@ def test_point_mass_embedding_matches_csp_value():
         assert sol.value == csp_value(inst, a)
 
 
+@st.composite
+def weighted_instance_and_assignment(draw):
+    """A weighted instance over random q=3/k=2 or q=2/k=3 tables, and an assignment."""
+    q, k = draw(st.sampled_from([(3, 2), (2, 3)]))
+    table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
+    tables = draw(st.lists(table, min_size=1, max_size=3))
+    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    n = draw(st.integers(k, 5))
+    constraint = st.builds(
+        Constraint,
+        st.sampled_from(fam.names),
+        st.permutations(range(1, n + 1)).map(lambda order: order[:k]),
+        st.integers(1, 4),
+    )
+    constraints = tuple(draw(st.lists(constraint, min_size=1, max_size=6)))
+    assignment = tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+    return Instance(fam, n, constraints), assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=weighted_instance_and_assignment())
+def test_point_mass_value_is_the_assignment_value(case):
+    inst, assignment = case
+    assert point_mass_solution(inst, assignment).value == csp_value(inst, assignment)
+
+
+@pytest.mark.parametrize("t", range(1, 6))
+def test_cut_on_odd_cycle_has_exact_values(t):
+    report = gap_report(cycle_instance(2 * t + 1))
+    assert (report.lp_value, report.csp_value) == (1, Fraction(2 * t, 2 * t + 1))
+
+
 def test_relaxation_dominates_brute_force():
     rng = seeded(17)
     for fam in (cut_family(), dicut_family()):
@@ -133,6 +169,12 @@ def test_lp_from_onewise_requires_witness():
     skewed = {(0, 1): Fraction(1)}  # non-uniform marginals
     with pytest.raises(ValidationError):
         lp_from_onewise(triangle(), {"cut": skewed})
+    half = {(0, 1): Fraction(1, 4), (1, 0): Fraction(1, 4)}  # total mass 1/2
+    with pytest.raises(ValidationError):
+        lp_from_onewise(triangle(), {"cut": half})
+    negative = {(0, 0): Fraction(-1, 2), (0, 1): Fraction(1), (1, 0): Fraction(1, 2)}
+    with pytest.raises(ValidationError):
+        lp_from_onewise(triangle(), {"cut": negative})
 
 
 def test_lp_from_width_dicut():

@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import cycle_instance, dicut_complete, random_instance, seeded, single_edge
 from cspgap import (
     BudgetError,
     Constraint,
     Instance,
+    PairDistribution,
     Predicate,
     PredicateFamily,
     ValidationError,
@@ -22,12 +25,29 @@ from cspgap import (
     rho_upper_empirical,
     width,
 )
+from cspgap.core import digits_to_tuple, tuple_to_digits
 
 
 def test_predicate_table_round_trip():
     pred = Predicate(3, 2, "p", tuple(i % 2 for i in range(9)))
     for rank in range(9):
         assert pred.index_of(pred.tuple_of(rank)) == rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_and_digit_codecs_round_trip(data):
+    q = data.draw(st.integers(2, 36), label="q")
+    k = data.draw(st.integers(1, 3), label="k")
+    pred = Predicate(q, k, "p", (1,) * q**k)
+    rank = data.draw(st.integers(0, q**k - 1), label="rank")
+    values = pred.tuple_of(rank)
+    assert len(values) == k and all(0 <= v < q for v in values)
+    assert pred.index_of(values) == rank
+    word = tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=12), label="word"))
+    text = tuple_to_digits(word)
+    assert len(text) == len(word)
+    assert digits_to_tuple(text, q) == word
 
 
 def test_predicate_rejects_bad_tables():
@@ -47,6 +67,25 @@ def test_family_invariants():
         PredicateFamily((cut, cut))
     with pytest.raises(ValidationError):
         PredicateFamily((cut, Predicate(2, 1, "other", (0, 1))))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Constraint("cut", (1.7, 2)),
+    lambda: csp_value(single_edge(), (0.9, 1)),
+    lambda: Predicate(2, 2, "x", ("0", 1, 1, 0)),
+    lambda: PairDistribution(cut_family(), {("cut", (0.5, 1)): 1}),
+], ids=["constraint-variables", "assignment", "predicate-table", "distribution-tuple"])
+def test_non_integer_entries_are_refused_not_truncated(build):
+    with pytest.raises(ValidationError, match="must be integers"):
+        build()
+
+
+def test_integer_types_besides_int_are_accepted():
+    np = pytest.importorskip("numpy")
+    constraint = Constraint("cut", (np.int64(1), np.int32(2)))
+    assert constraint.variables == (1, 2)
+    assert all(type(v) is int for v in constraint.variables)
+    assert csp_value(single_edge(), np.array([0, 1])) == 1
 
 
 def test_instance_rejects_repeated_and_out_of_range_variables():

@@ -26,11 +26,15 @@ from cspgap import (
     build_certificate,
     certificate_to_dict,
     check_feasible,
+    construct_yes_no,
     cut_family,
     dicut_family,
     gap_report,
+    no_sup_search,
+    rho_upper_empirical,
     solve,
 )
+from cspgap import core, witnesses
 from cspgap.cli import main
 from cspgap.serialize import canonical_dumps, instance_to_dict
 
@@ -77,6 +81,10 @@ DIGESTS = {
         "4f5ab4ae27f69cf4b592a2528c68b60840fc15fc073c15c53e4b9fde6835f61d",
     "pivot-path":
         "52807b2b49e2b534d33790f0a0ce8f73796f970bf2081cb4508bdf9e99bd78f0",
+    "upper-stream":
+        "fa8820335ed574b32c957769babb8fcb16a4ee1b563da42617d159c796e54947",
+    "kernel-stream":
+        "a3007682f1467b4e39203434b8478af2b477e7b3cfecc36ba1df5d1875f421f0",
 }
 
 
@@ -163,3 +171,75 @@ def test_simplex_pivot_path():
         digest.update(repr(solve(problem)).encode() + b"\n")
         digest.update(repr(check_feasible(problem)).encode() + b"\n")
     assert digest.hexdigest() == DIGESTS["pivot-path"]
+
+
+def stream_families():
+    """cut, dicut, a q=3/k=2 and a q=2/k=3 family."""
+    cube = list(itertools.product(range(2), repeat=3))
+    return [
+        cut_family(),
+        dicut_family(),
+        PredicateFamily((
+            Predicate(3, 2, "neq", tuple(int(a != b) for a in range(3) for b in range(3))),
+            Predicate(3, 2, "lt", tuple(int(a < b) for a in range(3) for b in range(3))),
+        )),
+        PredicateFamily((
+            Predicate(2, 3, "nae", tuple(int(len(set(a)) > 1) for a in cube)),
+            Predicate(2, 3, "maj", tuple(int(sum(a) >= 2) for a in cube)),
+        )),
+    ]
+
+
+def test_rho_upper_empirical_instance_stream(monkeypatch):
+    """Every instance `rho_upper_empirical` evaluates, in order, and its result.
+
+    Budgets 1-3 stop inside the complete instances (up to four of them on
+    n_max = 5), the larger ones run into the seeded random phase.
+    """
+    seen = []
+    original = core.brute_force_opt
+
+    def recording(inst, *args, **kwargs):
+        seen.append(repr(inst))
+        return original(inst, *args, **kwargs)
+
+    monkeypatch.setattr(core, "brute_force_opt", recording)
+    digest = hashlib.sha256()
+    for fam in stream_families():
+        for n_max in (3, 4, 5):
+            for budget in (1, 2, 3, 17, 64):
+                for seed in (0, 7):
+                    seen.clear()
+                    value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
+                    assert len(seen) == budget
+                    digest.update(f"{n_max}|{budget}|{seed}|{value}\n".encode())
+                    digest.update("\n".join(seen).encode() + b"\0")
+    assert digest.hexdigest() == DIGESTS["upper-stream"]
+
+
+def test_no_sup_search_results_across_phase_boundaries(monkeypatch):
+    """Budgets on both sides of the deterministic (q^q kernels) and lattice
+    phase ends, and into the seeded ascent, on the C5 and K4 no-sides.
+
+    Each kernel scored is hashed in order as well as the result, since the
+    result alone is the same for any order of a fully scanned phase.
+    """
+    digest = hashlib.sha256()
+    score = witnesses._KernelScorer.score
+
+    def recording(scorer, rows):
+        digest.update(repr(rows).encode() + b"\n")
+        return score(scorer, rows)
+
+    monkeypatch.setattr(witnesses._KernelScorer, "score", recording)
+    for inst in (cycle_instance(5), k4_coloring()):
+        _, no_dist = construct_yes_no(inst, gap_report(inst).lp_witness)
+        q = inst.family.q
+        lattice_end = q**q + (5 if q == 2 else 6) ** q
+        budgets = (1, q**q - 1, q**q, q**q + 1, lattice_end - 1, lattice_end,
+                   lattice_end + 1, 120, 400)
+        for budget in budgets:
+            for seed in (0, 3):
+                bound, kernel = no_sup_search(no_dist, budget, seed)
+                digest.update(repr((budget, seed, bound, kernel.rows)).encode() + b"\n")
+    assert digest.hexdigest() == DIGESTS["kernel-stream"]

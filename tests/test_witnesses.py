@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import cycle_instance, random_instance, seeded, triangle
 from cspgap import (
@@ -203,6 +205,33 @@ def test_onewise_support_constant_and_empty():
     assert sum(result.witness.values()) == 1
     never = Predicate(2, 2, "never", (0, 0, 0, 0))
     assert not onewise_support(never).supports
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_onewise_support_witness_or_refutation_checks_out(data):
+    q = data.draw(st.sampled_from([2, 3]), label="q")
+    k = data.draw(st.sampled_from([1, 2, 3]), label="k")
+    table = data.draw(st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k), label="table")
+    pred = Predicate(q, k, "p", tuple(table))
+    satisfying = pred.satisfying_tuples()
+    result = onewise_support(pred)
+    if result.supports:
+        witness = result.witness
+        assert set(witness) <= set(satisfying)
+        assert all(mass > 0 for mass in witness.values())
+        assert sum(witness.values()) == 1
+        for position in range(k):
+            for symbol in range(q):
+                marginal = sum(m for a, m in witness.items() if a[position] == symbol)
+                assert marginal == Fraction(1, q)
+    else:
+        # rows are (position, symbol) in that order, each with target 1/q
+        y = result.refutation
+        assert len(y) == k * q
+        for a in satisfying:
+            assert sum(y[position * q + a[position]] for position in range(k)) >= 0
+        assert sum(y) * Fraction(1, q) < 0
 
 
 def classify(fam, **options):
