@@ -90,6 +90,18 @@ class LocalDistributionSolution:
                 f"stated objective {self.value} differs from recomputed {objective}"
             )
 
+    @classmethod
+    def from_distributions(cls, instance: Instance, maps, marginals, value):
+        """Inverse of `local_distribution`: one {tuple: mass} map per constraint."""
+        ranker = instance.family.predicates[0]  # the checked codec depends only on (q, k)
+        locals_ = []
+        for distribution in maps:
+            masses = [Fraction(0)] * len(ranker.table)
+            for values, mass in distribution.items():
+                masses[ranker.index_of(values)] = to_fraction(mass)
+            locals_.append(tuple(masses))
+        return cls(instance, tuple(locals_), marginals, value)
+
     def local_distribution(self, index: int) -> dict:
         """Mass of constraint `index` as a {tuple: Fraction} map (zeros omitted)."""
         pred = self.instance.family[self.instance.constraints[index].predicate]
@@ -231,26 +243,21 @@ def gap_report(inst: Instance, assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGE
 def point_mass_solution(inst: Instance, assignment) -> LocalDistributionSolution:
     """Embed an integral assignment as a feasible point-mass solution."""
     value = csp_value(inst, assignment)
-    q, k = inst.family.q, inst.family.k
-    size = q**k
+    q = inst.family.q
     marginals = []
     for v in assignment:
         row = [Fraction(0)] * q
         row[v] = Fraction(1)
         marginals.append(tuple(row))
-    locals_ = []
-    for constraint in inst.constraints:
-        pred = inst.family[constraint.predicate]
-        rank = pred.index_of(tuple(assignment[v - 1] for v in constraint.variables))
-        masses = [Fraction(0)] * size
-        masses[rank] = Fraction(1)
-        locals_.append(tuple(masses))
-    return LocalDistributionSolution(inst, tuple(locals_), tuple(marginals), value)
+    maps = [{tuple(assignment[v - 1] for v in c.variables): Fraction(1)} for c in inst.constraints]
+    return LocalDistributionSolution.from_distributions(inst, maps, tuple(marginals), value)
 
 
-def _uniform_marginals(n: int, q: int) -> tuple:
-    uniform = tuple(Fraction(1, q) for _ in range(q))
-    return tuple(uniform for _ in range(n))
+def _uniform_solution(inst: Instance, distributions: dict, value) -> LocalDistributionSolution:
+    """Each constraint takes its predicate's distribution; every marginal is uniform."""
+    uniform = tuple(Fraction(1, inst.family.q) for _ in range(inst.family.q))
+    maps = [distributions[c.predicate] for c in inst.constraints]
+    return LocalDistributionSolution.from_distributions(inst, maps, (uniform,) * inst.n, value)
 
 
 def lp_from_onewise(inst: Instance, witnesses: dict) -> LocalDistributionSolution:
@@ -263,23 +270,10 @@ def lp_from_onewise(inst: Instance, witnesses: dict) -> LocalDistributionSolutio
     objective is exactly 1 because no mass sits on unsatisfying tuples.  The
     solution's own checks reject a witness that breaks any of this.
     """
-    fam = inst.family
-    q, k = fam.q, fam.k
-    size = q**k
-    used = {c.predicate for c in inst.constraints}
-    tables = {}
-    for name in sorted(used):
-        if name not in witnesses:
-            raise ValidationError(f"no one-wise witness supplied for predicate {name!r}")
-        pred = fam[name]
-        masses = [Fraction(0)] * size
-        for a, mass in witnesses[name].items():
-            masses[pred.index_of(a)] = to_fraction(mass)
-        tables[name] = tuple(masses)
-    locals_ = tuple(tables[c.predicate] for c in inst.constraints)
-    return LocalDistributionSolution(
-        inst, locals_, _uniform_marginals(inst.n, q), Fraction(1)
-    )
+    missing = sorted({c.predicate for c in inst.constraints} - set(witnesses))
+    if missing:
+        raise ValidationError(f"no one-wise witness supplied for predicate {missing[0]!r}")
+    return _uniform_solution(inst, witnesses, Fraction(1))
 
 
 def lp_from_width(inst: Instance) -> LocalDistributionSolution:
@@ -290,23 +284,11 @@ def lp_from_width(inst: Instance) -> LocalDistributionSolution:
     exactly the predicate's width and every coordinate marginal is uniform.
     The objective therefore meets or exceeds the family width.
     """
-    fam = inst.family
-    q, k = fam.q, fam.k
-    size = q**k
-    report = width(fam)
-    tables = {}
-    weight_total = inst.total_weight
-    value = Fraction(0)
-    for constraint in inst.constraints:
-        name = constraint.predicate
-        if name not in tables:
-            pred = fam[name]
-            base = report.per_predicate[name].base
-            masses = [Fraction(0)] * size
-            for a in range(q):
-                shifted = tuple((v + a) % q for v in base)
-                masses[pred.index_of(shifted)] += Fraction(1, q)
-            tables[name] = tuple(masses)
-        value += Fraction(constraint.weight, weight_total) * report.per_predicate[name].width
-    locals_ = tuple(tables[c.predicate] for c in inst.constraints)
-    return LocalDistributionSolution(inst, locals_, _uniform_marginals(inst.n, q), value)
+    q = inst.family.q
+    best = width(inst.family).per_predicate
+    value = sum(c.weight * best[c.predicate].width for c in inst.constraints) / inst.total_weight
+    orbits = {  # the q shifts of a base point are distinct tuples
+        name: {tuple((v + a) % q for v in entry.base): Fraction(1, q) for a in range(q)}
+        for name, entry in best.items()
+    }
+    return _uniform_solution(inst, orbits, value)

@@ -75,10 +75,7 @@ def cmd_lp_solve(args) -> int:
 
 def cmd_gap_check(args) -> int:
     inst = serialize.load_instance(args.instance)
-    gamma = parse_rational(args.gamma)
-    beta = parse_rational(args.beta)
-    if not 0 <= beta < gamma <= 1:
-        raise ToolkitError(f"need 0 <= beta < gamma <= 1, got {args.beta}, {args.gamma}")
+    gamma, beta = search.check_targets(parse_rational(args.gamma), parse_rational(args.beta))
     witnesses.check_no_sup_budget(args.no_sup_budget)
     report = basic_lp.gap_report(inst, assignment_budget=args.budget)
     data = {
@@ -171,7 +168,7 @@ def cmd_verify_cert(args) -> int:
         note = " (csp bound not re-derived: budget)" if report.downgraded else ""
         sys.stdout.write(f"PASS{note}\n")
     else:
-        failed = next(detail for name, ok, detail in report.checks if not ok)
+        failed = report.checks[-1][2]  # verification stops at the first failed clause
         sys.stdout.write(f"FAIL: {report.failure}" + (f" ({failed})" if failed else "") + "\n")
     return 0 if report.ok else 1
 

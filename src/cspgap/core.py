@@ -32,11 +32,18 @@ DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def int_tuple(values, field: str) -> tuple:
-    """`values` as ints; a float, string or Fraction entry raises, never truncates."""
+    """`values` as ints (numpy ints too); a bool, float, string or Fraction raises."""
     try:
-        return tuple(map(operator.index, values))
+        values = tuple(values)
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
     except TypeError:
-        raise ValidationError(f"{field} must be integers, got {values!r}") from None
+        pass
+    raise ValidationError(f"{field} must be integers, got {values!r}")
+
+
+def as_int(value, field: str) -> int:
+    return value if type(value) is int else int_tuple((value,), field)[0]
 
 
 def tuple_to_digits(values) -> str:
@@ -60,14 +67,16 @@ class Predicate:
     table: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "q", as_int(self.q, "alphabet size"))
+        object.__setattr__(self, "k", as_int(self.k, "arity"))
         if not 2 <= self.q <= len(DIGITS):
             raise ValidationError(
                 f"alphabet size must lie in [2, {len(DIGITS)}], got {self.q}"
             )
         if self.k < 1:
             raise ValidationError(f"arity must be >= 1, got {self.k}")
-        if not self.name:
-            raise ValidationError("predicate name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"predicate name must be a non-empty string, got {self.name!r}")
         table = int_tuple(self.table, f"predicate {self.name!r}: table entries")
         if len(table) != self.q**self.k:
             raise ValidationError(
@@ -79,7 +88,10 @@ class Predicate:
         object.__setattr__(self, "table", table)
 
     def index_of(self, values) -> int:
-        """Rank of a k-tuple in lexicographic order (first coordinate most significant)."""
+        """Rank of a tuple in [q]^k, lexicographic; any other tuple raises, never aliases."""
+        values = int_tuple(values, "tuple entries")
+        if len(values) != self.k or any(not 0 <= v < self.q for v in values):
+            raise ValidationError(f"tuple {values} is not in [q]^k, q = {self.q}, k = {self.k}")
         rank = 0
         for v in values:
             rank = rank * self.q + v
@@ -157,10 +169,9 @@ class Constraint:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", int_tuple(self.variables, "constraint variables"))
-        if not isinstance(self.weight, int) or self.weight < 1:
-            raise ValidationError(
-                f"constraint weight must be a positive integer, got {self.weight!r}"
-            )
+        object.__setattr__(self, "weight", as_int(self.weight, "constraint weight"))
+        if self.weight < 1:
+            raise ValidationError(f"constraint weight must be >= 1, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +188,7 @@ class Instance:
     constraints: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "variable count"))
         if self.n < 1:
             raise ValidationError(f"variable count must be >= 1, got {self.n}")
         constraints = tuple(self.constraints)

@@ -52,6 +52,14 @@ RANDOM = "random"
 DEFAULT_NO_SUP_BUDGET = 120
 
 
+def check_targets(gamma, beta) -> tuple:
+    """(gamma, beta) as Fractions; raises ValidationError unless 0 <= beta < gamma <= 1."""
+    gamma, beta = to_fraction(gamma), to_fraction(beta)
+    if not 0 <= beta < gamma <= 1:
+        raise ValidationError(f"need 0 <= beta < gamma <= 1, got beta={beta}, gamma={gamma}")
+    return gamma, beta
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     family: PredicateFamily
@@ -65,12 +73,9 @@ class SearchConfig:
     budget: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", to_fraction(self.gamma))
-        object.__setattr__(self, "beta", to_fraction(self.beta))
-        if not 0 <= self.beta < self.gamma <= 1:
-            raise ValidationError(
-                f"need 0 <= beta < gamma <= 1, got beta={self.beta}, gamma={self.gamma}"
-            )
+        gamma, beta = check_targets(self.gamma, self.beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "beta", beta)
         if self.n_min < self.family.k:
             raise ValidationError(f"n_min must be at least the arity {self.family.k}")
         if self.n_max < self.n_min:
@@ -158,8 +163,7 @@ def build_certificate(
     must not exceed the instance optimum, otherwise the toolkit itself is
     broken and we refuse to emit.
     """
-    gamma = to_fraction(gamma)
-    beta = to_fraction(beta)
+    gamma, beta = check_targets(gamma, beta)
     if not report.is_gap(gamma, beta):
         raise ValidationError(
             f"not a ({gamma}, {beta}) gap: lp={report.lp_value}, csp={report.csp_value}"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from fractions import Fraction
 
 from .basic_lp import LocalDistributionSolution
 from .core import Constraint, Instance, Predicate, PredicateFamily
@@ -151,24 +150,17 @@ def solution_to_dict(sol: LocalDistributionSolution) -> dict:
 
 
 def solution_from_dict(data: dict, inst: Instance) -> LocalDistributionSolution:
-    q, k = inst.family.q, inst.family.k
-    size = q**k
-    ranker = inst.family.predicates[0]  # every predicate shares (q, k)
     try:
         value = parse_rational(data["objective"])
         marginals = _rational_rows(data["marginals"])
-        locals_ = []
-        for entry in strict(data["locals"], list):
-            masses = [Fraction(0)] * size
-            for digits, mass in strict(entry, dict).items():
-                values = digits_to_tuple(digits, q)
-                if len(values) != k:
-                    raise ValidationError(f"tuple {digits!r} has wrong arity")
-                masses[ranker.index_of(values)] = parse_rational(mass)
-            locals_.append(tuple(masses))
+        maps = [
+            {digits_to_tuple(digits, inst.family.q): parse_rational(mass)
+             for digits, mass in strict(entry, dict).items()}
+            for entry in strict(data["locals"], list)
+        ]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed solution object: {exc!r}") from exc
-    return LocalDistributionSolution(inst, tuple(locals_), marginals, value)
+    return LocalDistributionSolution.from_distributions(inst, maps, marginals, value)
 
 
 def pair_distribution_to_dict(dist: PairDistribution) -> dict:

@@ -26,31 +26,29 @@ from typing import Optional
 from . import lp
 from .basic_lp import LocalDistributionSolution
 from .core import Predicate, PredicateFamily, Instance, rho_upper_empirical
-from .core import compositions, int_tuple, tuple_to_digits
+from .core import compositions, tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
 from .rationals import to_fraction
 
 
 @dataclass(frozen=True)
 class PairDistribution:
-    """Exact distribution over (predicate name, tuple in [q]^k) atoms."""
+    """Exact distribution over (predicate name, tuple in [q]^k) atoms.
+
+    Tuples pass the checked codec `Predicate.index_of`; atom order carries no meaning.
+    """
 
     family: PredicateFamily
     mass: dict
 
     def __post_init__(self):
-        order = {name: i for i, name in enumerate(self.family.names)}
-        k, q = self.family.k, self.family.q
         cleaned = {}
         total = Fraction(0)
-        for (name, values), weight in sorted(
-            self.mass.items(), key=lambda item: (order.get(item[0][0], -1), item[0][1])
-        ):
-            if name not in order:
+        for (name, values), weight in self.mass.items():
+            if name not in self.family:
                 raise ValidationError(f"unknown predicate {name!r} in distribution")
-            values = int_tuple(values, f"tuple of predicate {name!r}")
-            if len(values) != k or any(v < 0 or v >= q for v in values):
-                raise ValidationError(f"bad tuple {values} for predicate {name!r}")
+            pred = self.family[name]
+            values = pred.tuple_of(pred.index_of(values))  # checked; stored as plain ints
             weight = to_fraction(weight)
             if weight < 0:
                 raise ValidationError("distribution has a negative mass")

@@ -1,9 +1,10 @@
 """Relaxation construction, decoding, and the special-purpose feasible solutions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import cycle_instance, random_instance, seeded, single_edge, triangle
@@ -15,6 +16,7 @@ from cspgap import (
     ValidationError,
     brute_force_opt,
     build_basic_lp,
+    constant_one_family,
     csp_value,
     cut_family,
     dicut_family,
@@ -26,6 +28,7 @@ from cspgap import (
     solve_basic_lp,
 )
 from cspgap.basic_lp import LocalDistributionSolution, decode_primal
+from cspgap.serialize import solution_from_dict, solution_to_dict
 
 
 def test_build_sizes_single_edge():
@@ -121,6 +124,56 @@ def weighted_instance_and_assignment(draw):
 def test_point_mass_value_is_the_assignment_value(case):
     inst, assignment = case
     assert point_mass_solution(inst, assignment).value == csp_value(inst, assignment)
+
+
+def _supported_family(q, k, name, holds):
+    cube = itertools.product(range(q), repeat=k)
+    return PredicateFamily((Predicate(q, k, name, tuple(int(holds(a)) for a in cube)),))
+
+
+# Weighted instances of families whose one predicate supports one-wise
+# independence, so that lp_from_onewise contributes a solution too.
+NEQ3 = Instance(
+    _supported_family(3, 2, "neq", lambda a: a[0] != a[1]), 3,
+    (Constraint("neq", (1, 2), 2), Constraint("neq", (3, 1))),
+)
+NAE2 = Instance(
+    _supported_family(2, 3, "nae", lambda a: len(set(a)) > 1), 4,
+    (Constraint("nae", (1, 2, 3)), Constraint("nae", (4, 3, 2), 3)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=weighted_instance_and_assignment())
+@example(case=(NEQ3, (0, 1, 1)))
+@example(case=(NAE2, (0, 1, 0, 1)))
+def test_every_builder_round_trips_through_its_distributions(case):
+    inst, assignment = case
+    solutions = [solve_basic_lp(inst), point_mass_solution(inst, assignment), lp_from_width(inst)]
+    witnesses = {p.name: onewise_support(p).witness for p in inst.family.predicates}
+    if all(witnesses[c.predicate] is not None for c in inst.constraints):
+        solutions.append(lp_from_onewise(inst, witnesses))
+    for sol in solutions:
+        maps = [sol.local_distribution(ci) for ci in range(inst.m)]
+        rebuilt = LocalDistributionSolution.from_distributions(inst, maps, sol.marginals, sol.value)
+        assert rebuilt == sol
+        assert solution_from_dict(solution_to_dict(sol), inst) == sol
+
+
+@pytest.mark.parametrize("key, replaced", [
+    ((0, 2), (1, 0)), ((0, 5), (1, 1)), ((0, 1, 1), (1, 1)), ((-1, 1), (1, 1)),
+])
+def test_lp_from_onewise_refuses_tuples_outside_the_alphabet(key, replaced):
+    # A uniform witness on the always-true predicate with one atom respelled.
+    # Unchecked, each key ranked as the atom it replaces, except (0, 5), which
+    # ranked past the end of the table.
+    witness = {a: Fraction(1, 4) for a in itertools.product(range(2), repeat=2)}
+    witness.pop(replaced)
+    witness[key] = Fraction(1, 4)
+    constraints = (Constraint("one", (1, 2)), Constraint("one", (3, 2)))
+    inst = Instance(constant_one_family(), 3, constraints)
+    with pytest.raises(ValidationError, match=r"is not in \[q\]\^k"):
+        lp_from_onewise(inst, {"one": witness})
 
 
 @pytest.mark.parametrize("t", range(1, 6))

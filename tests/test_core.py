@@ -74,7 +74,17 @@ def test_family_invariants():
     lambda: csp_value(single_edge(), (0.9, 1)),
     lambda: Predicate(2, 2, "x", ("0", 1, 1, 0)),
     lambda: PairDistribution(cut_family(), {("cut", (0.5, 1)): 1}),
-], ids=["constraint-variables", "assignment", "predicate-table", "distribution-tuple"])
+    # A bool is no integer either; a float q or n used to pass as an int.
+    lambda: Constraint("cut", (1, 2), True),
+    lambda: Constraint("cut", (True, 2)),
+    lambda: Instance(cut_family(), 2.0, (Constraint("cut", (1, 2)),)),
+    lambda: csp_value(Instance(cut_family(), 3, (Constraint("cut", (1, 2)),)), (0, 1, True)),
+    lambda: Predicate(2.0, 2, "x", (0, 1, 1, 0)),
+    lambda: Predicate(2, True, "x", (0, 1)),
+    lambda: Predicate(2, 2, "x", (0, True, True, 0)),
+], ids=["constraint-variables", "assignment", "predicate-table", "distribution-tuple",
+        "weight-bool", "variable-bool", "n-float", "assignment-bool", "q-float", "k-bool",
+        "table-bool"])
 def test_non_integer_entries_are_refused_not_truncated(build):
     with pytest.raises(ValidationError, match="must be integers"):
         build()
@@ -82,10 +92,20 @@ def test_non_integer_entries_are_refused_not_truncated(build):
 
 def test_integer_types_besides_int_are_accepted():
     np = pytest.importorskip("numpy")
-    constraint = Constraint("cut", (np.int64(1), np.int32(2)))
-    assert constraint.variables == (1, 2)
-    assert all(type(v) is int for v in constraint.variables)
+    constraint = Constraint("cut", (np.int64(1), np.int32(2)), np.int64(3))
+    assert constraint.variables == (1, 2) and constraint.weight == 3
+    assert all(type(v) is int for v in (*constraint.variables, constraint.weight))
     assert csp_value(single_edge(), np.array([0, 1])) == 1
+    pred = Predicate(np.int64(2), np.int32(2), "cut", (0, 1, 1, 0))
+    inst = Instance(PredicateFamily((pred,)), np.int64(2), (constraint,))
+    assert (type(pred.q), type(pred.k), type(inst.n)) == (int, int, int)
+
+
+@pytest.mark.parametrize("values", [(0, 2), (0, 5), (-1, 1), (0, 1, 1), (0,), (0, True), (0.0, 1)])
+def test_index_of_refuses_tuples_outside_the_alphabet(values):
+    # Unchecked, (0, 2) and (-1, 1) ranked as (1, 0) and (1, 1) of [2]^2.
+    with pytest.raises(ValidationError, match=r"not in \[q\]\^k, q = 2, k = 2|must be integers"):
+        cut_family().predicates[0].index_of(values)
 
 
 def test_instance_rejects_repeated_and_out_of_range_variables():

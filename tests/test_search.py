@@ -153,6 +153,14 @@ def test_build_certificate_requires_gap():
         build_certificate(report, Fraction(1), Fraction(1, 2))
 
 
+def test_build_certificate_refuses_targets_outside_the_unit_order():
+    # The triangle (lp 1, csp 2/3) is a (1/2, 1) "gap", and the certificate
+    # used to be emitted, only for verify-cert to fail it at `targets`.
+    report = gap_report(triangle())
+    with pytest.raises(ValidationError, match="need 0 <= beta < gamma <= 1"):
+        build_certificate(report, Fraction(1, 2), 1)
+
+
 def test_certificate_round_trip_and_verification():
     report = gap_report(cycle_instance(5))
     cert = build_certificate(report, Fraction(1), Fraction(4, 5), seed=5)

@@ -5,9 +5,15 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import cycle_instance, triangle
 from cspgap import (
+    Constraint,
+    Instance,
+    Predicate,
+    PredicateFamily,
     ValidationError,
     cut_family,
     format_rational,
@@ -68,6 +74,43 @@ def test_family_round_trip():
 def test_instance_round_trip():
     inst = cycle_instance(5)
     assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_whatever_the_constructors_accept_round_trips(data):
+    """Now and then a field arrives as a numpy int, bool, float, string, Fraction or None."""
+    np = pytest.importorskip("numpy")
+
+    def loose(value):
+        kind = data.draw(st.sampled_from(["as is"] * 12 + ["numpy", "other"]))
+        if kind == "as is":
+            return value
+        if kind == "numpy" and isinstance(value, int):
+            return np.int64(value)
+        return data.draw(st.sampled_from([True, False, 0, 2.0, "2", Fraction(2), None, ""]))
+
+    q, k = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(k, 4))
+    names = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=2))
+    try:
+        fam = PredicateFamily(tuple(
+            Predicate(loose(q), loose(k), loose(name),
+                      tuple(loose(data.draw(st.integers(0, 1))) for _ in range(q**k)))
+            for name in names
+        ))
+        constraints = tuple(
+            Constraint(
+                data.draw(st.sampled_from(names)),
+                tuple(loose(v) for v in data.draw(st.permutations(range(1, n + 1)))[:k]),
+                loose(data.draw(st.integers(1, 3))),
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        )
+        inst = Instance(fam, loose(n), constraints)
+    except ValidationError:
+        return  # refused: nothing was accepted that a file could not hold
+    assert instance_from_dict(json.loads(canonical_dumps(instance_to_dict(inst)))) == inst
 
 
 def test_instance_file_with_family_path(tmp_path):

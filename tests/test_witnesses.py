@@ -26,6 +26,7 @@ from cspgap import (
     support_classification,
     yes_value,
 )
+from cspgap.serialize import canonical_dumps, pair_distribution_to_dict
 
 CUT = cut_family()
 HALF = Fraction(1, 2)
@@ -52,6 +53,29 @@ def test_pair_distribution_validation():
         PairDistribution(
             CUT, {("cut", (0, 1)): Fraction(3, 2), ("cut", (1, 0)): Fraction(-1, 2)}
         )
+
+
+# Yes/no pairs of two weighted instances, built once for the order test below.
+SHUFFLE_CASES = [
+    construct_yes_no(inst, gap_report(inst).lp_witness)
+    for inst in (
+        cycle_instance(5),
+        random_instance(seeded(8), dicut_family(), 4, 5, max_weight=3),
+    )
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pair_distribution_does_not_depend_on_atom_order(data):
+    dist = data.draw(st.sampled_from([d for pair in SHUFFLE_CASES for d in pair]), label="dist")
+    atoms = data.draw(st.permutations(list(dist.atoms())), label="atoms")
+    shuffled = PairDistribution(dist.family, dict(atoms))
+    assert shuffled == dist
+    assert canonical_dumps(pair_distribution_to_dict(shuffled)) == canonical_dumps(
+        pair_distribution_to_dict(dist)
+    )
+    assert no_sup_search(shuffled, budget=30) == no_sup_search(dist, budget=30)
 
 
 def test_marginal_vector_point_mass():
