@@ -26,6 +26,7 @@ from .core import (
     Instance,
     brute_force_opt,
     csp_value,
+    mapping_items,
     tuple_to_digits,
     width,
 )
@@ -97,7 +98,7 @@ class LocalDistributionSolution:
         locals_ = []
         for distribution in maps:
             masses = [Fraction(0)] * len(ranker.table)
-            for values, mass in distribution.items():
+            for values, mass in mapping_items(distribution, "local distribution"):
                 masses[ranker.index_of(values)] = to_fraction(mass)
             locals_.append(tuple(masses))
         return cls(instance, tuple(locals_), marginals, value)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,6 +45,13 @@ def int_tuple(values, field: str) -> tuple:
 
 def as_int(value, field: str) -> int:
     return value if type(value) is int else int_tuple((value,), field)[0]
+
+
+def mapping_items(value, field: str):
+    """Items of a mapping; anything else raises."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{field} must be a mapping, got {value!r}")
+    return value.items()
 
 
 def tuple_to_digits(values) -> str:
@@ -283,18 +291,29 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET):
     return Fraction(best_sat, total), best_assignment
 
 
+def product_mass(tuples, factors, scale=1):
+    """The one product-measure evaluator: scale * sum_{a in tuples} prod_l factors[l][a_l].
+
+    Each term starts from `scale` and stops at its first zero factor.
+    """
+    total = 0
+    for a in tuples:
+        term = scale
+        for row, v in zip(factors, a):
+            term *= row[v]
+            if not term:
+                break
+        else:
+            total += term
+    return total
+
+
 def product_value(pred: Predicate, distribution) -> Fraction:
     """Expected value of the predicate when coordinates are i.i.d. from the distribution."""
     dist = [to_fraction(p) for p in distribution]
     if len(dist) != pred.q or any(p < 0 for p in dist) or sum(dist) != 1:
         raise ValidationError("distribution must be a probability vector over [q]")
-    total = Fraction(0)
-    for a in pred.satisfying_tuples():
-        term = Fraction(1)
-        for v in a:
-            term *= dist[v]
-        total += term
-    return total
+    return Fraction(product_mass(pred.satisfying_tuples(), (dist,) * pred.k))
 
 
 def compositions(total: int, parts: int):
@@ -328,21 +347,8 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
 
     def family_min(weights, den):
         # weights: integer lattice counts; evaluates min_f E_{P^k}[f] exactly
-        best = None
-        scale = Fraction(1, den) ** k
-        for tuples in sat:
-            acc = 0
-            for a in tuples:
-                term = 1
-                for v in a:
-                    term *= weights[v]
-                acc += term
-            val = acc * scale
-            if best is None or val < best:
-                best = val
-                if best == 0:
-                    break
-        return best
+        factors = (weights,) * k
+        return Fraction(min(product_mass(tuples, factors) for tuples in sat), den**k)
 
     best_val = None
     best_point = None

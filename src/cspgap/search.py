@@ -25,6 +25,7 @@ from .core import (
     DEFAULT_ASSIGNMENT_BUDGET,
     Instance,
     PredicateFamily,
+    as_int,
     brute_force_opt,
     constraint_universe,
     csp_value,
@@ -73,6 +74,8 @@ class SearchConfig:
     budget: int = 1000
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "max_constraints", "seed", "budget"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         gamma, beta = check_targets(self.gamma, self.beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "beta", beta)
@@ -281,7 +284,7 @@ def search_gap(
     instance with the largest lp - csp difference (earliest on ties) is
     certified.  Instances are evaluated one at a time, in stream order.
     """
-    check_no_sup_budget(no_sup_budget)
+    no_sup_budget = check_no_sup_budget(no_sup_budget)
     evaluated = 0
     qualifying = 0
     best: Optional[GapReport] = None

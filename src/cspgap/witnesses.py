@@ -26,7 +26,7 @@ from typing import Optional
 from . import lp
 from .basic_lp import LocalDistributionSolution
 from .core import Predicate, PredicateFamily, Instance, rho_upper_empirical
-from .core import compositions, tuple_to_digits
+from .core import as_int, compositions, mapping_items, product_mass, tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
 from .rationals import to_fraction
 
@@ -44,7 +44,10 @@ class PairDistribution:
     def __post_init__(self):
         cleaned = {}
         total = Fraction(0)
-        for (name, values), weight in self.mass.items():
+        for key, weight in mapping_items(self.mass, "distribution mass"):
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValidationError(f"atom {key!r} is not a (predicate name, tuple) pair")
+            name, values = key
             if name not in self.family:
                 raise ValidationError(f"unknown predicate {name!r} in distribution")
             pred = self.family[name]
@@ -146,28 +149,15 @@ class _KernelScorer:
     """Precompiled evaluator for the no-side value of one distribution."""
 
     def __init__(self, dist: PairDistribution):
-        groups = {}
-        for (name, values), weight in dist.atoms():
-            groups.setdefault(name, []).append((values, weight))
-        self.groups = [
-            (dist.family[name].satisfying_tuples(), atoms) for name, atoms in groups.items()
+        satisfying = {p.name: p.satisfying_tuples() for p in dist.family.predicates}
+        self.atoms = [
+            (satisfying[name], values, weight) for (name, values), weight in dist.atoms()
         ]
 
     def score(self, rows):
         total = Fraction(0)
-        for satisfying, atoms in self.groups:
-            if not satisfying:
-                continue
-            for values, weight in atoms:
-                hit = Fraction(0)
-                for target in satisfying:
-                    term = weight
-                    for source, out in zip(values, target):
-                        term = term * rows[source][out]
-                        if not term:
-                            break
-                    hit += term
-                total += hit
+        for satisfying, values, weight in self.atoms:
+            total += product_mass(satisfying, [rows[v] for v in values], weight)
         return total
 
 
@@ -189,12 +179,14 @@ MAX_NO_SUP_BUDGET = 10_000
 SNAP_DENOMINATOR = 64
 
 
-def check_no_sup_budget(budget: int) -> None:
-    """Reject a kernel-search budget outside [1, MAX_NO_SUP_BUDGET]."""
+def check_no_sup_budget(budget: int) -> int:
+    """The budget as an int; a non-integer or one outside [1, MAX_NO_SUP_BUDGET] raises."""
+    budget = as_int(budget, "kernel search budget")
     if not 1 <= budget <= MAX_NO_SUP_BUDGET:
         raise ValidationError(
             f"kernel search budget must be in [1, {MAX_NO_SUP_BUDGET}], got {budget}"
         )
+    return budget
 
 
 def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
@@ -207,7 +199,7 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     toward the lexicographically smallest kernel.  Deterministic for a
     fixed (budget, seed) pair; the budget must lie in [1, MAX_NO_SUP_BUDGET].
     """
-    check_no_sup_budget(budget)
+    budget = check_no_sup_budget(budget)
     q = dist.family.q
     scorer = _KernelScorer(dist)
     evals = 0
@@ -300,12 +292,7 @@ def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
             yes_mass[key] = yes_mass.get(key, Fraction(0)) + share * mass
         marginals = [sol.marginals[v - 1] for v in constraint.variables]
         for values in itertools.product(range(q), repeat=k):
-            prob = share
-            for pos in range(k):
-                prob *= marginals[pos][values[pos]]
-                if not prob:
-                    break
-            if prob:
+            if prob := product_mass((values,), marginals, share):
                 key = (constraint.predicate, values)
                 no_mass[key] = no_mass.get(key, Fraction(0)) + prob
     yes_dist = PairDistribution(fam, yes_mass)
@@ -396,6 +383,7 @@ def support_classification(
     equality).  Overlapping brackets leave "unknown"; no supporting
     subfamily at all is "none".
     """
+    rho_lower = to_fraction(rho_lower)
     decisions = [onewise_support(p) for p in fam.predicates]
     supporting = tuple(d.predicate for d in decisions if d.supports)
     if len(supporting) == len(fam.predicates):

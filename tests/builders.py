@@ -1,12 +1,29 @@
-"""Shared generators for the test suite: canonical instances and random LPs."""
+"""Shared test helpers: canonical instances, random LPs and a fresh-process CLI runner."""
 
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import cspgap
 from cspgap import Constraint, Instance, LpProblem, cut_family, dicut_family
 from cspgap.core import constraint_universe
+
+
+def run_cli(args):
+    """`python -m cspgap.cli ARGS` in a fresh process that imports the package under test."""
+    src = str(pathlib.Path(cspgap.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "cspgap.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def cycle_instance(n, fam=None, name="cut"):

@@ -17,8 +17,6 @@ never meets it at a finite n.
 """
 
 import itertools
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -26,7 +24,7 @@ from math import comb
 import pytest
 
 import conftest
-from builders import cycle_instance, mutate_leaves, random_lp, seeded, triangle
+from builders import cycle_instance, mutate_leaves, random_lp, run_cli, seeded, triangle
 from oracle import vertex_enum_oracle
 from cspgap import (
     Constraint,
@@ -256,11 +254,7 @@ def test_criterion_9_certificate_round_trip(tmp_path):
     path = tmp_path / "cert.json"
     save_certificate(str(path), cert)
 
-    fresh = subprocess.run(
-        [sys.executable, "-m", "cspgap.cli", "verify-cert", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    fresh = run_cli(["verify-cert", str(path)])
     assert fresh.returncode == 0 and fresh.stdout.startswith("PASS")
 
     data = certificate_to_dict(cert)
@@ -279,22 +273,15 @@ def test_criterion_10_determinism(tmp_path):
     fam_path = tmp_path / "cut.json"
     fam_path.write_text(canonical_dumps(family_to_dict(cut_family())))
 
-    def run(args):
-        return subprocess.run(
-            [sys.executable, "-m", "cspgap.cli", *args],
-            capture_output=True,
-            text=True,
-        )
-
     stats_args = ["family-stats", str(fam_path), "--json", "--seed", "11"]
-    first, second = run(stats_args), run(stats_args)
+    first, second = run_cli(stats_args), run_cli(stats_args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
     certs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        proc = run([
+        proc = run_cli([
             "gap-search", "--family", str(fam_path), "--gamma", "1/1",
             "--beta", "4/5", "--n-max", "4", "--max-constraints", "3",
             "--budget", "300", "--seed", "11", "--out", str(out), "--json",

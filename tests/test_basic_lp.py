@@ -176,6 +176,11 @@ def test_lp_from_onewise_refuses_tuples_outside_the_alphabet(key, replaced):
         lp_from_onewise(inst, {"one": witness})
 
 
+def test_lp_from_onewise_refuses_a_witness_that_is_not_a_mapping():
+    with pytest.raises(ValidationError, match="must be a mapping"):
+        lp_from_onewise(triangle(), {"cut": [((0, 1), 1)]})
+
+
 @pytest.mark.parametrize("t", range(1, 6))
 def test_cut_on_odd_cycle_has_exact_values(t):
     report = gap_report(cycle_instance(2 * t + 1))

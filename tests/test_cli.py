@@ -4,8 +4,6 @@ import copy
 import io
 import json
 import pathlib
-import subprocess
-import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -14,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import triangle
+from builders import run_cli, triangle
 from cspgap import (
     build_certificate,
     certificate_from_dict,
@@ -54,15 +52,6 @@ def triangle_file(tmp_path):
     path = tmp_path / "triangle.json"
     path.write_text(canonical_dumps(instance_to_dict(triangle())))
     return str(path)
-
-
-def run_cli(args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "cspgap.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    return proc
 
 
 def test_family_stats_cut(cut_family_file, capsys):

@@ -1,5 +1,7 @@
 """Data model, brute force, trivial-threshold brackets, and widths."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from cspgap import (
     rho_upper_empirical,
     width,
 )
-from cspgap.core import digits_to_tuple, tuple_to_digits
+from cspgap.core import digits_to_tuple, product_mass, tuple_to_digits
 
 
 def test_predicate_table_round_trip():
@@ -199,6 +201,26 @@ def test_product_value_closed_forms():
         assert product_value(dicut, dist) == p * (1 - p)
     with pytest.raises(ValidationError):
         product_value(cut, (Fraction(1, 2), Fraction(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_product_mass_is_the_scaled_sum_of_products(data):
+    q = data.draw(st.integers(2, 4), label="q")
+    k = data.draw(st.integers(1, 3), label="k")
+    everything = list(itertools.product(range(q), repeat=k))
+    tuples = data.draw(st.lists(st.sampled_from(everything), unique=True), label="tuples")
+    number = st.one_of(
+        st.integers(0, 5), st.fractions(min_value=0, max_value=3, max_denominator=12)
+    )
+    factors = data.draw(
+        st.lists(st.lists(number, min_size=q, max_size=q), min_size=k, max_size=k),
+        label="factors",
+    )
+    scale = data.draw(st.one_of(st.integers(0, 4), number), label="scale")
+    plain = sum(math.prod(row[v] for row, v in zip(factors, a)) for a in tuples)
+    assert product_mass(tuples, factors, scale) == scale * plain
+    assert product_mass(tuples, factors) == plain
 
 
 def test_rho_product_lower_examples():

@@ -10,6 +10,7 @@ as a digest mismatch.
 import hashlib
 import io
 import itertools
+import random
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -85,6 +86,8 @@ DIGESTS = {
         "fa8820335ed574b32c957769babb8fcb16a4ee1b563da42617d159c796e54947",
     "kernel-stream":
         "a3007682f1467b4e39203434b8478af2b477e7b3cfecc36ba1df5d1875f421f0",
+    "product-lower":
+        "383207dc3721e1db351e2863b4bb9c850d123a5e4b1263bf76e764929246ad6b",
 }
 
 
@@ -243,3 +246,26 @@ def test_no_sup_search_results_across_phase_boundaries(monkeypatch):
                 bound, kernel = no_sup_search(no_dist, budget, seed)
                 digest.update(repr((budget, seed, bound, kernel.rows)).encode() + b"\n")
     assert digest.hexdigest() == DIGESTS["kernel-stream"]
+
+
+def generated_product_families(seed):
+    """Two seeded q=3/k=2 and two q=2/k=3 families of three random tables each."""
+    rng = random.Random(seed)
+    families = []
+    for q, k in ((3, 2), (3, 2), (2, 3), (2, 3)):
+        families.append(PredicateFamily(tuple(
+            Predicate(q, k, f"p{i}", tuple(rng.randint(0, 1) for _ in range(q**k)))
+            for i in range(3)
+        )))
+    return families
+
+
+def test_rho_product_lower_values():
+    """`rho_product_lower` beyond q = k = 2, at two precisions: the grid
+    denominators, the lattice scan order and the ascent all feed the value."""
+    digest = hashlib.sha256()
+    for fam in [cut_family(), dicut_family(), *generated_product_families(3)]:
+        for precision in (Fraction(1, 16), Fraction(1, 32)):
+            value = core.rho_product_lower(fam, precision)
+            digest.update(repr((fam.q, fam.k, precision, value)).encode() + b"\n")
+    assert digest.hexdigest() == DIGESTS["product-lower"]

@@ -25,6 +25,7 @@ from cspgap import (
     solve_basic_lp,
     verify_certificate,
 )
+from cspgap.witnesses import check_no_sup_budget, support_classification
 
 
 def cfg(**kwargs):
@@ -52,6 +53,25 @@ def test_config_validation():
         cfg(budget=0)
     with pytest.raises(ValidationError):
         cfg(mode="other")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_no_sup_budget(True),
+        lambda: check_no_sup_budget(2.5),
+        lambda: cfg(budget=2.5),
+        lambda: cfg(n_max=3.5),
+        lambda: cfg(max_constraints=Fraction(2)),
+        lambda: cfg(seed=0.5),
+        lambda: support_classification(cut_family(), 0.5),
+    ],
+    ids=["no-sup-bool", "no-sup-float", "budget", "n_max", "max_constraints", "seed",
+         "rho_lower"],
+)
+def test_search_and_witness_entry_points_refuse_inexact_numbers(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_enumeration_is_lexicographic_and_includes_triangle():

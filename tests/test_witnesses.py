@@ -55,6 +55,16 @@ def test_pair_distribution_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "mass",
+    [{("cut",): 1}, {"cut": 1}, [(("cut", (0, 1)), HALF), (("cut", (1, 0)), HALF)]],
+    ids=["short-key", "bare-name", "pair-list"],
+)
+def test_pair_distribution_refuses_malformed_atoms(mass):
+    with pytest.raises(ValidationError):
+        PairDistribution(CUT, mass)
+
+
 # Yes/no pairs of two weighted instances, built once for the order test below.
 SHUFFLE_CASES = [
     construct_yes_no(inst, gap_report(inst).lp_witness)
