@@ -412,6 +412,8 @@ def rho_upper_empirical(
     minimum brute-force optimum seen.  Any instance's optimum upper-bounds the
     limiting infimum, so the result is always a valid upper bound.
     """
+    n_max, budget = as_int(n_max, "n_max"), as_int(budget, "instance budget")
+    seed = as_int(seed, "instance seed")
     if n_max < fam.k:
         raise ValidationError(f"need n_max >= k = {fam.k}, got {n_max}")
     if budget < 1:

@@ -19,10 +19,10 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def to_fraction(value) -> Fraction:
-    """Convert an int or Fraction to a Fraction; reject anything else."""
+    """Convert an int or Fraction to a Fraction; reject anything else, bools too."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ValidationError(f"not an exact rational: {value!r}")
 

@@ -167,6 +167,7 @@ def build_certificate(
     broken and we refuse to emit.
     """
     gamma, beta = check_targets(gamma, beta)
+    seed, no_sup_budget = as_int(seed, "seed"), check_no_sup_budget(no_sup_budget)
     if not report.is_gap(gamma, beta):
         raise ValidationError(
             f"not a ({gamma}, {beta}) gap: lp={report.lp_value}, csp={report.csp_value}"

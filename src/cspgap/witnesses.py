@@ -129,20 +129,12 @@ class SymbolKernel:
 
     @classmethod
     def identity(cls, q: int) -> "SymbolKernel":
-        return cls.deterministic(range(q))
+        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(q)) for i in range(q)))
 
     @classmethod
     def uniform(cls, q: int) -> "SymbolKernel":
         row = tuple(Fraction(1, q) for _ in range(q))
         return cls((row,) * q)
-
-    @classmethod
-    def deterministic(cls, mapping) -> "SymbolKernel":
-        q = len(mapping)
-        return cls(tuple(
-            tuple(Fraction(1) if j == mapping[i] else Fraction(0) for j in range(q))
-            for i in range(q)
-        ))
 
 
 class _KernelScorer:
@@ -177,6 +169,8 @@ def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
 MAX_NO_SUP_BUDGET = 10_000
 # Denominator of the random starts and the finest ascent step.
 SNAP_DENOMINATOR = 64
+# Supporting subfamilies `support_classification` may try before it gives up.
+SUBFAMILY_CAP = 4096
 
 
 def check_no_sup_budget(budget: int) -> int:
@@ -192,79 +186,73 @@ def check_no_sup_budget(budget: int) -> int:
 def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     """Best rerandomization kernel found within a fixed evaluation budget.
 
-    Scans all q^q deterministic kernels, a coordinate lattice, and seeded
-    multistart local ascent (step sizes snapped to `SNAP_DENOMINATOR` so
-    every reported kernel is an exact rational point).  The result is a
-    certified lower bound on the supremum over all kernels; ties break
-    toward the lexicographically smallest kernel.  Deterministic for a
-    fixed (budget, seed) pair; the budget must lie in [1, MAX_NO_SUP_BUDGET].
+    Scores the first `budget` kernels of one candidate stream: all q^q
+    deterministic kernels, a coordinate lattice, then seeded multistart local
+    ascent (step sizes snapped to `SNAP_DENOMINATOR` so every reported kernel
+    is an exact rational point).  The result is a certified lower bound on
+    the supremum over all kernels; ties break toward the lexicographically
+    smallest kernel.  Deterministic for a fixed (budget, seed) pair; the
+    budget must lie in [1, MAX_NO_SUP_BUDGET].
     """
     budget = check_no_sup_budget(budget)
+    seed = as_int(seed, "kernel search seed")
     q = dist.family.q
     scorer = _KernelScorer(dist)
-    evals = 0
-    best = best_rows = None
+    scored = []  # (value, rows) for each kernel scored, in stream order
 
-    def score(rows):
-        nonlocal evals, best, best_rows
-        evals += 1
-        value = scorer.score(rows)
-        if best is None or value > best or (value == best and rows < best_rows):
-            best, best_rows = value, rows
-        return value
+    def kernels():
+        # the q^q deterministic kernels, then every kernel with rows over denominator 4 (q = 2) or 2
+        unit_rows = tuple(tuple(Fraction(int(i == j)) for j in range(q)) for i in range(q))
+        yield from itertools.product(unit_rows, repeat=q)
+        den = 4 if q == 2 else 2
+        lattice = [tuple(Fraction(c, den) for c in counts) for counts in compositions(den, q)]
+        yield from itertools.product(lattice, repeat=q)
+        rng = random.Random(seed)
+        moves = [
+            (sigma, up, down, Fraction(1, den))
+            for sigma in range(q)
+            for up in range(q)
+            for down in range(q)
+            if up != down
+            for den in (4, 16, SNAP_DENOMINATOR)
+        ]
+        # The consumer scores each kernel before it asks for the next one, so
+        # after a `yield` the value of the kernel just yielded is scored[-1].
+        while True:
+            counts = []
+            for _ in range(q):
+                row = [0] * q
+                remaining = SNAP_DENOMINATOR
+                for j in range(q - 1):
+                    row[j] = rng.randint(0, remaining)
+                    remaining -= row[j]
+                row[q - 1] = remaining
+                counts.append(row)
+            current = tuple(tuple(Fraction(c, SNAP_DENOMINATOR) for c in row) for row in counts)
+            yield current
+            current_value = scored[-1][0]
+            improved = True
+            while improved:
+                improved = False
+                for sigma, up, down, delta in moves:
+                    row = list(current[sigma])
+                    if row[down] < delta:
+                        continue
+                    row[down] -= delta
+                    row[up] += delta
+                    candidate = tuple(
+                        tuple(row) if s == sigma else current[s] for s in range(q)
+                    )
+                    yield candidate
+                    if scored[-1][0] > current_value:
+                        current, current_value = candidate, scored[-1][0]
+                        improved = True
+                        break
 
-    # the q^q deterministic kernels, then every kernel with rows over denominator 4 (q = 2) or 2
-    den = 4 if q == 2 else 2
-    lattice = [tuple(Fraction(c, den) for c in counts) for counts in compositions(den, q)]
-    scan = itertools.chain(
-        (SymbolKernel.deterministic(mapping).rows
-         for mapping in itertools.product(range(q), repeat=q)),
-        itertools.product(lattice, repeat=q),
-    )
-    for rows in itertools.islice(scan, budget):
-        score(rows)
-
-    rng = random.Random(seed)
-    moves = [
-        (sigma, up, down, Fraction(1, den))
-        for sigma in range(q)
-        for up in range(q)
-        for down in range(q)
-        if up != down
-        for den in (4, 16, SNAP_DENOMINATOR)
-    ]
-    while evals < budget:
-        counts = []
-        for _ in range(q):
-            row = [0] * q
-            remaining = SNAP_DENOMINATOR
-            for j in range(q - 1):
-                row[j] = rng.randint(0, remaining)
-                remaining -= row[j]
-            row[q - 1] = remaining
-            counts.append(row)
-        current = tuple(tuple(Fraction(c, SNAP_DENOMINATOR) for c in row) for row in counts)
-        current_value = score(current)
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for sigma, up, down, delta in moves:
-                row = list(current[sigma])
-                if row[down] < delta:
-                    continue
-                row[down] -= delta
-                row[up] += delta
-                candidate = tuple(
-                    tuple(row) if s == sigma else current[s] for s in range(q)
-                )
-                value = score(candidate)
-                if value > current_value:
-                    current, current_value = candidate, value
-                    improved = True
-                    break
-                if evals >= budget:
-                    break
-    return best, SymbolKernel(best_rows)
+    for rows in itertools.islice(kernels(), budget):
+        scored.append((scorer.score(rows), rows))
+    best = max(value for value, _ in scored)
+    return best, SymbolKernel(min(rows for value, rows in scored if value == best))
 
 
 def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
@@ -370,7 +358,6 @@ def support_classification(
     rho_lower: Fraction,
     n_max: int = 4,
     upper_budget: int = 128,
-    subfamily_cap: int = 4096,
 ) -> SupportClassification:
     """Classify how the family supports one-wise independence.
 
@@ -390,7 +377,7 @@ def support_classification(
         return SupportClassification(STRONG, tuple(fam.names), supporting)
     if not supporting:
         return SupportClassification(NONE, None, supporting)
-    if 2 ** len(supporting) - 1 > subfamily_cap:
+    if 2 ** len(supporting) - 1 > SUBFAMILY_CAP:
         raise BudgetError(
             f"{2 ** len(supporting) - 1} candidate subfamilies exceed the cap"
         )

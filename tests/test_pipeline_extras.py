@@ -107,7 +107,7 @@ def test_support_classification_subfamily_cap():
     fam = PredicateFamily(ones)
     lower = rho_product_lower(fam, Fraction(1, 64))
     with pytest.raises(BudgetError):
-        support_classification(fam, lower, subfamily_cap=4096)
+        support_classification(fam, lower)
 
 
 def _numbers(*values):

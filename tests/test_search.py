@@ -12,6 +12,7 @@ from cspgap import (
     Constraint,
     Instance,
     SearchConfig,
+    SymbolKernel,
     ValidationError,
     build_certificate,
     certificate_from_dict,
@@ -20,12 +21,24 @@ from cspgap import (
     cut_family,
     enumerate_instances,
     gap_report,
+    no_sup_search,
     point_mass_solution,
+    rho_upper_empirical,
     search_gap,
     solve_basic_lp,
     verify_certificate,
 )
+from cspgap.rationals import to_fraction
+from cspgap.search import check_targets
 from cspgap.witnesses import check_no_sup_budget, support_classification
+
+
+C5_REPORT = gap_report(cycle_instance(5))
+C5_NO = construct_yes_no(C5_REPORT.instance, C5_REPORT.lp_witness)[1]
+
+
+def c5_certificate(**options):
+    return build_certificate(C5_REPORT, Fraction(1), Fraction(4, 5), **options)
 
 
 def cfg(**kwargs):
@@ -65,13 +78,41 @@ def test_config_validation():
         lambda: cfg(max_constraints=Fraction(2)),
         lambda: cfg(seed=0.5),
         lambda: support_classification(cut_family(), 0.5),
+        lambda: c5_certificate(seed=0.5),
+        lambda: c5_certificate(seed=True),
+        lambda: no_sup_search(C5_NO, 40, seed=0.5),
+        lambda: rho_upper_empirical(cut_family(), 3, budget=2.5),
+        lambda: rho_upper_empirical(cut_family(), 3.5),
+        lambda: to_fraction(True),
+        lambda: SymbolKernel(((True, False), (False, True))),
+        lambda: support_classification(cut_family(), True),
+        lambda: check_targets(True, False),
     ],
     ids=["no-sup-bool", "no-sup-float", "budget", "n_max", "max_constraints", "seed",
-         "rho_lower"],
+         "rho_lower", "certificate-float-seed", "certificate-bool-seed",
+         "kernel-search-float-seed", "upper-float-budget", "upper-float-n-max",
+         "bool-fraction", "bool-kernel", "bool-rho_lower", "bool-targets"],
 )
 def test_search_and_witness_entry_points_refuse_inexact_numbers(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, plain",
+    [
+        (lambda np: c5_certificate(no_sup_budget=np.int64(5)),
+         lambda: c5_certificate(no_sup_budget=5)),
+        (lambda np: no_sup_search(C5_NO, 40, seed=np.int64(3)),
+         lambda: no_sup_search(C5_NO, 40, seed=3)),
+        (lambda np: rho_upper_empirical(cut_family(), np.int64(3), np.int64(8), np.int64(7)),
+         lambda: rho_upper_empirical(cut_family(), 3, 8, 7)),
+    ],
+    ids=["certificate-budget", "kernel-search-seed", "upper-empirical"],
+)
+def test_seeded_entry_points_take_numpy_integers_as_ints(call, plain):
+    np = pytest.importorskip("numpy")
+    assert call(np) == plain()
 
 
 def test_enumeration_is_lexicographic_and_includes_triangle():

@@ -1,5 +1,6 @@
 """Pair distributions, kernels, the yes/no construction, and one-wise support."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import cycle_instance, random_instance, seeded, triangle
+from cspgap import witnesses
 from cspgap import (
     PairDistribution,
     Predicate,
+    PredicateFamily,
     SymbolKernel,
     ValidationError,
     constant_one_family,
@@ -161,6 +164,49 @@ def test_no_sup_search_point_mass_satisfying():
 def test_no_sup_search_deterministic():
     dist = uniform_cut_square()
     assert no_sup_search(dist, budget=90, seed=9) == no_sup_search(dist, budget=90, seed=9)
+
+
+@st.composite
+def small_pair_distributions(draw):
+    """A random distribution over one or two random predicates, q in {2, 3}, k in {1, 2}."""
+    q, k = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    tables = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k), min_size=1, max_size=2
+    ))
+    fam = PredicateFamily(tuple(
+        Predicate(q, k, f"p{i}", tuple(table)) for i, table in enumerate(tables)
+    ))
+    atoms = [(name, a) for name in fam.names for a in itertools.product(range(q), repeat=k)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms))
+                   .filter(any))
+    total = sum(weights)
+    return PairDistribution(fam, {a: Fraction(w, total) for a, w in zip(atoms, weights)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dist=small_pair_distributions(),
+    budget=st.integers(1, 200),
+    seed=st.sampled_from([0, 1, 9]),
+)
+def test_no_sup_search_budget_cuts_one_kernel_stream(dist, budget, seed):
+    """Budget b scores the first b kernels budget b + 1 scores; the bound never drops."""
+    seen = []
+    score = witnesses._KernelScorer.score
+
+    def recording(scorer, rows):
+        seen.append(rows)
+        return score(scorer, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witnesses._KernelScorer, "score", recording)
+        bound, kernel = no_sup_search(dist, budget, seed)
+        first = seen[:]
+        seen.clear()
+        next_bound, _ = no_sup_search(dist, budget + 1, seed)
+    assert first == seen[:budget] and len(seen) == budget + 1
+    assert bound <= next_bound
+    assert no_value(dist, kernel) == bound
 
 
 def test_construct_yes_no_c5():
