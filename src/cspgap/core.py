@@ -16,35 +16,20 @@ additive group Z_q.
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, ValidationError
-from .rationals import to_fraction
+from .rationals import as_int, int_tuple, to_fraction
 
 # Ceiling on q**n for exhaustive assignment enumeration.
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
 # Symbols of [q] as written in files and LP labels; bounds q from above.
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def int_tuple(values, field: str) -> tuple:
-    """`values` as ints (numpy ints too); a bool, float, string or Fraction raises."""
-    try:
-        values = tuple(values)
-        if bool not in map(type, values):
-            return tuple(map(operator.index, values))
-    except TypeError:
-        pass
-    raise ValidationError(f"{field} must be integers, got {values!r}")
-
-
-def as_int(value, field: str) -> int:
-    return value if type(value) is int else int_tuple((value,), field)[0]
 
 
 def mapping_items(value, field: str):
@@ -254,12 +239,17 @@ def csp_value(inst: Instance, assignment) -> Fraction:
     return Fraction(satisfied, inst.total_weight)
 
 
-def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET):
-    """Exhaustive optimum over all q**n assignments.
+def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, threshold=Fraction(1)):
+    """Exhaustive search over the q**n assignments in lexicographic order.
 
-    Returns (value, assignment); among the maximizers the lexicographically
-    smallest assignment is reported.  Raises BudgetError when q**n exceeds
-    the budget.
+    Returns (value, assignment).  The search stops at the first assignment
+    whose value reaches `threshold`, that is, which satisfies
+    ceil(threshold * total weight) of the weight: the pair is then that
+    assignment and its value.  When no assignment reaches it, the pair is the
+    exact optimum and the lexicographically smallest maximizer.  The default
+    threshold 1 stops only at a fully satisfying assignment, so the pair is
+    always the optimum and its smallest maximizer.  Raises BudgetError when
+    q**n exceeds the budget.
     """
     q, n = inst.family.q, inst.n
     space = q**n
@@ -273,6 +263,7 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET):
         for c in inst.constraints
     ]
     total = inst.total_weight
+    stop = math.ceil(to_fraction(threshold) * total)
     best_sat = -1
     best_assignment = None
     for a in itertools.product(range(q), repeat=n):
@@ -286,7 +277,7 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET):
         if sat > best_sat:
             best_sat = sat
             best_assignment = a
-            if sat == total:
+            if sat >= stop:
                 break
     return Fraction(best_sat, total), best_assignment
 
@@ -334,6 +325,11 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     k-Lipschitz in total-variation distance and any lattice point is within
     q/(2N) of an arbitrary distribution, so with kq/(2N) <= precision the
     true maximin lies in [result, result + precision].  Deterministic.
+
+    A point with lattice counts c on denominator N gives each predicate the
+    integer mass N**k * E[f]; the scan keeps the best minimum as such a mass
+    and stops scoring a point at its first predicate whose mass is no
+    greater, since a point replaces the best only on strict improvement.
     """
     precision = to_fraction(precision)
     if precision <= 0:
@@ -345,24 +341,30 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
 
     sat = [p.satisfying_tuples() for p in fam.predicates]
 
-    def family_min(weights, den):
-        # weights: integer lattice counts; evaluates min_f E_{P^k}[f] exactly
-        factors = (weights,) * k
-        return Fraction(min(product_mass(tuples, factors) for tuples in sat), den**k)
+    def raised_min(counts, best):
+        # max(best, min_f mass at the lattice point), stopping at the first
+        # predicate whose mass is no greater than best
+        factors = (counts,) * k
+        low = None
+        for tuples in sat:
+            mass = product_mass(tuples, factors)
+            if mass <= best:
+                return best
+            low = mass if low is None else min(low, mass)
+        return low
 
-    best_val = None
-    best_point = None
+    best = -1
     for counts in compositions(denominator, q):
-        val = family_min(counts, denominator)
-        if best_val is None or val > best_val:
-            best_val, best_point = val, counts
+        mass = raised_min(counts, best)
+        if mass > best:
+            best, point = mass, counts
 
     # Local ascent on a refined lattice; any feasible point only improves the
     # lower bound, the bracket guarantee already comes from the grid above.
     den = denominator
-    point = list(best_point)
     for _ in range(2):
         den *= 2
+        best <<= k
         point = [2 * c for c in point]
         improved = True
         rounds = 0
@@ -376,11 +378,11 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
                     candidate = list(point)
                     candidate[i] += 1
                     candidate[j] -= 1
-                    val = family_min(candidate, den)
-                    if val > best_val:
-                        best_val, point = val, candidate
+                    mass = raised_min(candidate, best)
+                    if mass > best:
+                        best, point = mass, candidate
                         improved = True
-    return best_val
+    return Fraction(best, den**k)
 
 
 def constraint_universe(fam: PredicateFamily, n: int) -> tuple:
@@ -411,6 +413,11 @@ def rho_upper_empirical(
     random instances until the evaluation budget is spent, and returns the
     minimum brute-force optimum seen.  Any instance's optimum upper-bounds the
     limiting infimum, so the result is always a valid upper bound.
+
+    Each brute force gets the running minimum as its stop threshold: an
+    instance stops at its first assignment that reaches the minimum, since it
+    can no longer lower it, and an instance whose optimum is below the
+    minimum is enumerated in full and gives that exact optimum.
     """
     n_max, budget = as_int(n_max, "n_max"), as_int(budget, "instance budget")
     seed = as_int(seed, "instance seed")
@@ -435,7 +442,10 @@ def rho_upper_empirical(
             )
             yield Instance(fam, n, constraints)
 
-    return min(brute_force_opt(inst)[0] for inst in itertools.islice(instances(), budget))
+    best = Fraction(1)
+    for inst in itertools.islice(instances(), budget):
+        best = min(best, brute_force_opt(inst, threshold=best)[0])
+    return best
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 Every rational the package takes or returns is a `fractions.Fraction`
 (canonical form: reduced, positive denominator); there is no second
 rational type.  Only the simplex tableau in `lp` works on Python ints over
-a common denominator.  Rationals serialize as "p/q" strings.
+a common denominator.  Rationals serialize as "p/q" strings.  Every integer
+input, a count or a rational, passes one rule (`int_tuple`): numpy integers
+are integers, bools are not.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -18,13 +21,30 @@ RAT = Fraction  # the one rational type; benchmark records name its module as th
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
+def int_tuple(values, field: str) -> tuple:
+    """`values` as ints: the package's one integer rule.
+
+    Anything `operator.index` takes passes, numpy integers too; a bool,
+    float, string or Fraction raises.
+    """
+    try:
+        values = tuple(values)
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise ValidationError(f"{field} must be integers, got {values!r}")
+
+
+def as_int(value, field: str) -> int:
+    return value if type(value) is int else int_tuple((value,), field)[0]
+
+
 def to_fraction(value) -> Fraction:
-    """Convert an int or Fraction to a Fraction; reject anything else, bools too."""
+    """A Fraction, or an integer by `int_tuple`'s rule, as a Fraction; anything else raises."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValidationError(f"not an exact rational: {value!r}")
+    return Fraction(as_int(value, "a rational that is not a Fraction"))
 
 
 def format_rational(value) -> str:

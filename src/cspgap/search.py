@@ -25,13 +25,12 @@ from .core import (
     DEFAULT_ASSIGNMENT_BUDGET,
     Instance,
     PredicateFamily,
-    as_int,
     brute_force_opt,
     constraint_universe,
     csp_value,
 )
 from .errors import InternalError, ValidationError
-from .rationals import format_rational, parse_rational, to_fraction
+from .rationals import as_int, format_rational, parse_rational, to_fraction
 from .witnesses import (
     MarginalVector,
     PairDistribution,

@@ -26,9 +26,9 @@ from typing import Optional
 from . import lp
 from .basic_lp import LocalDistributionSolution
 from .core import Predicate, PredicateFamily, Instance, rho_upper_empirical
-from .core import as_int, compositions, mapping_items, product_mass, tuple_to_digits
+from .core import compositions, mapping_items, product_mass, tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
-from .rationals import to_fraction
+from .rationals import as_int, to_fraction
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
-"""Independent test oracle for the exact LP solver.
+"""Independent test oracles for the exact LP solver and the product maximin.
 
 `vertex_enum_oracle` computes the optimum of a standard-form problem by
 enumerating basic solutions with Gaussian elimination.  It shares no code
 with the simplex in `cspgap.lp` and exists so tests can cross-check the
-solver exactly.
+solver exactly.  `product_maximin_reference` is the plain max-min lattice
+scan that `cspgap.core.rho_product_lower` must reproduce exactly.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 
 from cspgap import INFEASIBLE, OPTIMAL, UNBOUNDED, BudgetError, LpProblem, LpSolution
+from cspgap.core import compositions
 
 
 def _solve_on_columns(rows, rhs, selected):
@@ -122,3 +124,53 @@ def vertex_enum_oracle(problem: LpProblem, basis_budget: int = 5_000_000) -> LpS
         if sum(objective[j] * v for j, v in zip(selected, coeffs)) > 0:
             return LpSolution(status=UNBOUNDED)
     return LpSolution(status=OPTIMAL, value=best_value, primal=best_point)
+
+
+def product_maximin_reference(fam, precision) -> Fraction:
+    """`rho_product_lower` as a plain scan: every predicate scored at every point.
+
+    Each lattice point's family minimum min_f E[f] is one Fraction, and a
+    point replaces the best only when that Fraction is strictly larger.  The
+    lattice, its lexicographic order and the two-level local ascent are the
+    ones `rho_product_lower` documents (the lattice from `compositions`);
+    masses are summed over the truth table directly, without
+    `cspgap.core.product_mass`.
+    """
+    q, k = fam.q, fam.k
+    denominator = 64
+    while Fraction(k * q, 2 * denominator) > precision:
+        denominator *= 2
+    satisfying = [
+        [a for a, bit in zip(product(range(q), repeat=k), p.table) if bit]
+        for p in fam.predicates
+    ]
+
+    def family_min(counts, den):
+        masses = [sum(prod(counts[v] for v in a) for a in tuples) for tuples in satisfying]
+        return Fraction(min(masses), den**k)
+
+    best_val = best_point = None
+    for counts in compositions(denominator, q):
+        val = family_min(counts, denominator)
+        if best_val is None or val > best_val:
+            best_val, best_point = val, counts
+
+    den, point = denominator, list(best_point)
+    for _ in range(2):
+        den *= 2
+        point = [2 * c for c in point]
+        improved, rounds = True, 0
+        while improved and rounds < 64:
+            improved, rounds = False, rounds + 1
+            for i in range(q):
+                for j in range(q):
+                    if i == j or point[j] == 0:
+                        continue
+                    candidate = list(point)
+                    candidate[i] += 1
+                    candidate[j] -= 1
+                    val = family_min(candidate, den)
+                    if val > best_val:
+                        best_val, point = val, candidate
+                        improved = True
+    return best_val

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import cycle_instance, dicut_complete, random_instance, seeded, single_edge
+from cspgap import core
 from cspgap import (
     BudgetError,
     Constraint,
@@ -28,6 +29,7 @@ from cspgap import (
     width,
 )
 from cspgap.core import digits_to_tuple, product_mass, tuple_to_digits
+from oracle import product_maximin_reference
 
 
 def test_predicate_table_round_trip():
@@ -190,6 +192,49 @@ def test_brute_force_dominates_random_assignments():
             assert best >= csp_value(inst, a)
 
 
+@st.composite
+def weighted_instance(draw, qs, max_n):
+    """A weighted instance over 1-3 random tables, any (q, k) with q in `qs` and k <= n."""
+    q = draw(st.sampled_from(qs), label="q")
+    n = draw(st.integers(1, max_n), label="n")
+    k = draw(st.integers(1, min(n, 3)), label="k")
+    table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
+    tables = draw(st.lists(table, min_size=1, max_size=3), label="tables")
+    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    constraint = st.builds(
+        Constraint,
+        st.sampled_from(fam.names),
+        st.permutations(range(1, n + 1)).map(lambda order: order[:k]),
+        st.integers(1, 9),
+    )
+    return Instance(fam, n, tuple(draw(st.lists(constraint, min_size=1, max_size=6))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_brute_force_stop_threshold_against_enumeration(data):
+    # At the default threshold: the optimum and its lexicographically smallest
+    # maximizer.  At threshold t: the optimum when it is below t, else the
+    # first assignment in lexicographic order whose value reaches t.
+    inst = data.draw(weighted_instance((2, 3, 4), 4), label="instance")
+    q, n = inst.family.q, inst.n
+    values = {a: csp_value(inst, a) for a in itertools.product(range(q), repeat=n)}
+    optimum = max(values.values())
+    exact = brute_force_opt(inst)
+    assert exact == (optimum, min(a for a, v in values.items() if v == optimum))
+    threshold = data.draw(st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=24),
+        st.sampled_from(sorted(set(values.values()))),
+    ), label="threshold")
+    value, witness = brute_force_opt(inst, threshold=threshold)
+    if optimum < threshold:
+        assert (value, witness) == exact
+    else:
+        assert value >= threshold
+        assert csp_value(inst, witness) == value
+        assert witness == min(a for a, v in values.items() if v >= threshold)
+
+
 def test_product_value_closed_forms():
     from cspgap import product_value
 
@@ -229,6 +274,24 @@ def test_rho_product_lower_examples():
     assert rho_product_lower(constant_one_family(), Fraction(1, 16)) == 1
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_rho_product_lower_matches_the_plain_scan(data):
+    q = data.draw(st.sampled_from((2, 3)), label="q")
+    k = data.draw(st.integers(1, 3), label="k")
+    table = st.one_of(
+        st.just((0,) * q**k),
+        st.just((1,) * q**k),
+        st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple),
+    )
+    tables = data.draw(st.lists(table, min_size=1, max_size=3), label="tables")
+    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    precision = data.draw(
+        st.sampled_from((Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))), label="precision"
+    )
+    assert rho_product_lower(fam, precision) == product_maximin_reference(fam, precision)
+
+
 def test_rho_product_lower_rejects_bad_precision():
     with pytest.raises(ValidationError):
         rho_product_lower(cut_family(), Fraction(0))
@@ -255,6 +318,33 @@ def test_rho_bracket_orders():
         lower = rho_product_lower(fam, Fraction(1, 64))
         upper = rho_upper_empirical(fam, 4, budget=24)
         assert lower <= upper + Fraction(1, 64)
+
+
+def test_rho_upper_empirical_is_the_least_exact_optimum_of_its_stream(monkeypatch):
+    # The stop threshold never changes the minimum: recompute every
+    # evaluated instance's optimum without it.
+    seen = []
+    original = core.brute_force_opt
+
+    def recording(inst, *args, **kwargs):
+        seen.append(inst)
+        return original(inst, *args, **kwargs)
+
+    monkeypatch.setattr(core, "brute_force_opt", recording)
+    rng = seeded(12)
+    generated = [
+        PredicateFamily(tuple(
+            Predicate(q, k, f"p{i}", tuple(rng.randint(0, 1) for _ in range(q**k)))
+            for i in range(3)
+        ))
+        for q, k in ((3, 2), (2, 3), (3, 2))
+    ]
+    for fam in (cut_family(), dicut_family(), constant_one_family(), *generated):
+        for n_max, budget, seed in ((3, 40, 0), (4, 60, 5), (5, 30, 9)):
+            seen.clear()
+            value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
+            assert len(seen) == budget
+            assert value == min(original(inst)[0] for inst in seen)
 
 
 def test_rho_upper_budget_must_be_positive():

@@ -11,6 +11,7 @@ from builders import cycle_instance, triangle
 from cspgap import (
     Constraint,
     Instance,
+    PairDistribution,
     SearchConfig,
     SymbolKernel,
     ValidationError,
@@ -111,6 +112,24 @@ def test_search_and_witness_entry_points_refuse_inexact_numbers(call):
     ids=["certificate-budget", "kernel-search-seed", "upper-empirical"],
 )
 def test_seeded_entry_points_take_numpy_integers_as_ints(call, plain):
+    np = pytest.importorskip("numpy")
+    assert call(np) == plain()
+
+
+@pytest.mark.parametrize(
+    "call, plain",
+    [
+        (lambda np: to_fraction(np.int64(1)), lambda: Fraction(1)),
+        (lambda np: build_certificate(C5_REPORT, np.int64(1), Fraction(4, 5)),
+         lambda: c5_certificate()),
+        (lambda np: PairDistribution(cut_family(), {("cut", (0, 1)): np.int64(1)}),
+         lambda: PairDistribution(cut_family(), {("cut", (0, 1)): 1})),
+        (lambda np: SymbolKernel(((np.int64(1), np.int64(0)), (0, 1))),
+         lambda: SymbolKernel(((1, 0), (0, 1)))),
+    ],
+    ids=["to-fraction", "certificate-gamma", "pair-weight", "kernel-entry"],
+)
+def test_rationals_take_numpy_integers_by_the_integer_rule(call, plain):
     np = pytest.importorskip("numpy")
     assert call(np) == plain()
 
