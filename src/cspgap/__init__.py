@@ -62,7 +62,6 @@ from .search import (
     verify_certificate,
 )
 from .witnesses import (
-    MarginalVector,
     OnewiseSupport,
     PairDistribution,
     SupportClassification,

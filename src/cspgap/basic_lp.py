@@ -11,14 +11,18 @@ toolkit hunts for.
 Solutions are decoded into `LocalDistributionSolution` objects, which verify
 themselves on construction: sums, signs, marginal consistency, and the
 objective value are all checked with exact arithmetic, so no unverified
-solution object exists.
+solution object exists.  A solution holds each local distribution as a
+read-only {tuple: Fraction} map and sums its positional marginals with
+`core.positional_marginals`; only the LP's column layout (`build_basic_lp`
+and `decode_primal`) orders [q]^k by rank.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from types import MappingProxyType
 
 from . import lp
 from .core import (
@@ -27,6 +31,7 @@ from .core import (
     brute_force_opt,
     csp_value,
     mapping_items,
+    positional_marginals,
     tuple_to_digits,
     width,
 )
@@ -38,10 +43,14 @@ from .rationals import to_fraction
 class LocalDistributionSolution:
     """A feasible relaxation solution in distributional form.
 
-    `locals_` holds one mass vector per constraint (rank-indexed over [q]^k,
-    lexicographic order) and `marginals` one mass vector per variable.
-    Construction checks feasibility for `instance` and the stated `value`
-    exactly, so every object of this type is a verified solution.
+    `locals_` takes one {tuple: mass} mapping per constraint and `marginals`
+    one mass vector over [q] per variable.  Construction checks every tuple
+    with the codec `Predicate.index_of`, reads every mass and the stated
+    `value` as exact rationals, and checks feasibility for `instance` and the
+    objective exactly, so every object of this type is a verified solution.
+    Each local distribution is stored as a read-only {tuple: Fraction} map
+    without zero masses; the rank layout of [q]^k is known only to the LP
+    columns (`build_basic_lp`, `decode_primal`).
     """
 
     instance: Instance
@@ -51,10 +60,20 @@ class LocalDistributionSolution:
 
     def __post_init__(self):
         """Exact feasibility and objective check; raises ValidationError on any miss."""
-        inst, marginals = self.instance, self.marginals
+        inst = self.instance
         q, k = inst.family.q, inst.family.k
-        size = q**k
-        if len(self.locals_) != inst.m:
+        ranker = inst.family.predicates[0]  # the checked codec depends only on (q, k)
+        locals_ = []
+        for distribution in self.locals_:
+            masses = {}
+            for values, mass in mapping_items(distribution, "local distribution"):
+                masses[ranker.tuple_of(ranker.index_of(values))] = to_fraction(mass)
+            locals_.append(MappingProxyType({a: mass for a, mass in masses.items() if mass}))
+        marginals = tuple(tuple(map(to_fraction, marg)) for marg in self.marginals)
+        object.__setattr__(self, "locals_", tuple(locals_))
+        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "value", to_fraction(self.value))
+        if len(locals_) != inst.m:
             raise ValidationError("one local distribution required per constraint")
         if len(marginals) != inst.n:
             raise ValidationError("one marginal distribution required per variable")
@@ -67,67 +86,27 @@ class LocalDistributionSolution:
                 raise ValidationError(f"marginal of variable {i + 1} does not sum to 1")
         objective = Fraction(0)
         weight_total = inst.total_weight
-        position_ranks = _position_ranks(q, k)
         for ci, constraint in enumerate(inst.constraints):
-            masses = self.locals_[ci]
-            if len(masses) != size:
-                raise ValidationError(f"local distribution {ci} has wrong length")
-            if any(v < 0 for v in masses):
+            masses = locals_[ci]
+            if any(v < 0 for v in masses.values()):
                 raise ValidationError(f"local distribution {ci} has a negative entry")
-            if sum(masses) != 1:
+            if sum(masses.values()) != 1:
                 raise ValidationError(f"local distribution {ci} does not sum to 1")
-            pred = inst.family[constraint.predicate]
+            rows = positional_marginals(masses.items(), q, k)
             for pos, variable in enumerate(constraint.variables):
-                for symbol, ranks in enumerate(position_ranks[pos]):
-                    if sum(masses[rank] for rank in ranks) != marginals[variable - 1][symbol]:
+                for symbol in range(q):
+                    if rows[pos][symbol] != marginals[variable - 1][symbol]:
                         raise ValidationError(
                             f"constraint {ci} position {pos} disagrees with the"
                             f" marginal of variable {variable} at symbol {symbol}"
                         )
-            satisfied = sum(masses[rank] for rank, bit in enumerate(pred.table) if bit)
+            pred = inst.family[constraint.predicate]
+            satisfied = sum(mass for a, mass in masses.items() if pred.value(a))
             objective += Fraction(constraint.weight, weight_total) * satisfied
         if objective != self.value:
             raise ValidationError(
                 f"stated objective {self.value} differs from recomputed {objective}"
             )
-
-    @classmethod
-    def from_distributions(cls, instance: Instance, maps, marginals, value):
-        """Inverse of `local_distribution`: one {tuple: mass} map per constraint."""
-        ranker = instance.family.predicates[0]  # the checked codec depends only on (q, k)
-        locals_ = []
-        for distribution in maps:
-            masses = [Fraction(0)] * len(ranker.table)
-            for values, mass in mapping_items(distribution, "local distribution"):
-                masses[ranker.index_of(values)] = to_fraction(mass)
-            locals_.append(tuple(masses))
-        return cls(instance, tuple(locals_), marginals, value)
-
-    def local_distribution(self, index: int) -> dict:
-        """Mass of constraint `index` as a {tuple: Fraction} map (zeros omitted)."""
-        pred = self.instance.family[self.instance.constraints[index].predicate]
-        return {
-            pred.tuple_of(rank): mass
-            for rank, mass in enumerate(self.locals_[index])
-            if mass
-        }
-
-
-@lru_cache(maxsize=None)
-def _position_ranks(q: int, k: int) -> tuple:
-    """Ranks in [q]^k by position and symbol: [pos][symbol] -> ranks with that symbol there.
-
-    Summing a rank-indexed mass vector over one entry gives one positional
-    marginal; these are also the LP columns of one consistency row.
-    """
-    size = q**k
-    return tuple(
-        tuple(
-            tuple(r for r in range(size) if (r // q ** (k - 1 - pos)) % q == symbol)
-            for symbol in range(q)
-        )
-        for pos in range(k)
-    )
 
 
 def build_basic_lp(inst: Instance) -> lp.LpProblem:
@@ -141,11 +120,12 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
     """
     fam = inst.family
     q, k, n = fam.q, fam.k, inst.n
-    size = q**k
+    cube = list(itertools.product(range(q), repeat=k))  # column order: rank order of index_of
+    size = len(cube)
     num_x = n * q
     num_vars = num_x + inst.m * size
 
-    spelled = [tuple_to_digits(fam.predicates[0].tuple_of(r)) for r in range(size)]
+    spelled = [tuple_to_digits(a) for a in cube]
     labels = [f"x[{i},{b}]" for i in range(1, n + 1) for b in range(q)]
     labels += [f"y[{ci},{digits}]" for ci in range(1, inst.m + 1) for digits in spelled]
 
@@ -169,14 +149,14 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
         rows.append(tuple(row))
         rhs.append(Fraction(1))
     one = Fraction(1)
-    position_ranks = _position_ranks(q, k)
     for ci, constraint in enumerate(inst.constraints):
         base = num_x + ci * size
         for pos, variable in enumerate(constraint.variables):
-            for symbol, ranks in enumerate(position_ranks[pos]):
+            for symbol in range(q):
                 row = zero_row[:]
-                for rank in ranks:
-                    row[base + rank] = one
+                for rank, a in enumerate(cube):
+                    if a[pos] == symbol:
+                        row[base + rank] = one
                 row[(variable - 1) * q + symbol] = -one
                 rows.append(tuple(row))
                 rhs.append(Fraction(0))
@@ -186,13 +166,14 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
 def decode_primal(inst: Instance, primal: dict, value: Fraction) -> LocalDistributionSolution:
     """Slice a primal vector, in `build_basic_lp` column order, into verified distributions."""
     q = inst.family.q
-    size = q**inst.family.k
+    cube = list(itertools.product(range(q), repeat=inst.family.k))  # as in build_basic_lp
+    size = len(cube)
     num_x = inst.n * q
     values = tuple(primal.values())
     marginals = tuple(values[start:start + q] for start in range(0, num_x, q))
-    locals_ = tuple(
-        values[start:start + size] for start in range(num_x, len(values), size)
-    )
+    locals_ = [
+        dict(zip(cube, values[start:start + size])) for start in range(num_x, len(values), size)
+    ]
     try:
         return LocalDistributionSolution(inst, locals_, marginals, value)
     except ValidationError as exc:
@@ -251,14 +232,14 @@ def point_mass_solution(inst: Instance, assignment) -> LocalDistributionSolution
         row[v] = Fraction(1)
         marginals.append(tuple(row))
     maps = [{tuple(assignment[v - 1] for v in c.variables): Fraction(1)} for c in inst.constraints]
-    return LocalDistributionSolution.from_distributions(inst, maps, tuple(marginals), value)
+    return LocalDistributionSolution(inst, maps, tuple(marginals), value)
 
 
 def _uniform_solution(inst: Instance, distributions: dict, value) -> LocalDistributionSolution:
     """Each constraint takes its predicate's distribution; every marginal is uniform."""
     uniform = tuple(Fraction(1, inst.family.q) for _ in range(inst.family.q))
     maps = [distributions[c.predicate] for c in inst.constraints]
-    return LocalDistributionSolution.from_distributions(inst, maps, (uniform,) * inst.n, value)
+    return LocalDistributionSolution(inst, maps, (uniform,) * inst.n, value)
 
 
 def lp_from_onewise(inst: Instance, witnesses: dict) -> LocalDistributionSolution:

@@ -299,6 +299,16 @@ def product_mass(tuples, factors, scale=1):
     return total
 
 
+def positional_marginals(pairs, q: int, k: int) -> tuple:
+    """The one positional-marginal rule: rows[pos][symbol] is the mass of the
+    (tuple, mass) pairs whose tuple has `symbol` at position `pos`."""
+    rows = [[Fraction(0)] * q for _ in range(k)]
+    for values, mass in pairs:
+        for row, symbol in zip(rows, values):
+            row[symbol] += mass
+    return tuple(map(tuple, rows))
+
+
 def product_value(pred: Predicate, distribution) -> Fraction:
     """Expected value of the predicate when coordinates are i.i.d. from the distribution."""
     dist = [to_fraction(p) for p in distribution]

@@ -32,7 +32,6 @@ from .core import (
 from .errors import InternalError, ValidationError
 from .rationals import as_int, format_rational, parse_rational, to_fraction
 from .witnesses import (
-    MarginalVector,
     PairDistribution,
     SymbolKernel,
     check_no_sup_budget,
@@ -137,7 +136,7 @@ class GapCertificate:
     solution: LocalDistributionSolution
     yes_distribution: PairDistribution
     no_distribution: PairDistribution
-    marginals: MarginalVector
+    marginals: dict
     no_sup_budget: int
     no_sup_bound: Fraction
     no_sup_kernel: SymbolKernel

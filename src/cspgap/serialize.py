@@ -23,7 +23,7 @@ from .core import Constraint, Instance, Predicate, PredicateFamily
 from .core import digits_to_tuple, tuple_to_digits
 from .errors import ValidationError
 from .rationals import format_rational, parse_rational
-from .witnesses import MarginalVector, PairDistribution, SymbolKernel
+from .witnesses import PairDistribution, SymbolKernel
 
 
 def canonical_dumps(data) -> str:
@@ -138,14 +138,13 @@ def save_json(path: str, data: dict) -> None:
 
 
 def solution_to_dict(sol: LocalDistributionSolution) -> dict:
-    locals_ = [
-        {tuple_to_digits(a): format_rational(mass) for a, mass in sol.local_distribution(ci).items()}
-        for ci in range(sol.instance.m)
-    ]
     return {
         "objective": format_rational(sol.value),
         "marginals": [[format_rational(v) for v in row] for row in sol.marginals],
-        "locals": locals_,
+        "locals": [
+            {tuple_to_digits(a): format_rational(mass) for a, mass in dist.items()}
+            for dist in sol.locals_
+        ],
     }
 
 
@@ -160,7 +159,7 @@ def solution_from_dict(data: dict, inst: Instance) -> LocalDistributionSolution:
         ]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed solution object: {exc!r}") from exc
-    return LocalDistributionSolution.from_distributions(inst, maps, marginals, value)
+    return LocalDistributionSolution(inst, maps, marginals, value)
 
 
 def pair_distribution_to_dict(dist: PairDistribution) -> dict:
@@ -180,19 +179,15 @@ def pair_distribution_from_dict(data: dict, fam: PredicateFamily) -> PairDistrib
     return PairDistribution(fam, mass)
 
 
-def marginal_vector_to_dict(mv: MarginalVector) -> dict:
-    return {
-        name: [[format_rational(v) for v in row] for row in mv.entries[fi]]
-        for fi, name in enumerate(mv.names)
-    }
+def marginal_vector_to_dict(mv: dict) -> dict:
+    return {name: [[format_rational(v) for v in row] for row in rows] for name, rows in mv.items()}
 
 
-def marginal_vector_from_dict(data: dict, fam: PredicateFamily) -> MarginalVector:
+def marginal_vector_from_dict(data: dict, fam: PredicateFamily) -> dict:
     try:
-        entries = tuple(_rational_rows(data[name]) for name in fam.names)
+        return {name: _rational_rows(data[name]) for name in fam.names}
     except KeyError as exc:
         raise ValidationError(f"marginal vector is missing predicate {exc}") from exc
-    return MarginalVector(fam.names, fam.k, fam.q, entries)
 
 
 def kernel_to_dict(kernel: SymbolKernel) -> list:

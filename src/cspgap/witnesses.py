@@ -9,10 +9,11 @@ side's expected satisfaction equals the relaxation objective, and the no
 side's satisfaction after any symbol-by-symbol rerandomization kernel is an
 average CSP value, hence at most the instance optimum.
 
-This module implements those objects exactly: marginal vectors, yes/no
-values under kernels, a deterministic kernel-search falsifier, the
-one-wise-independence support decision (an exact LP feasibility question),
-and its lift to families.
+This module implements those objects exactly: marginal vectors (plain
+{predicate name: [position][symbol]} maps summed by
+`core.positional_marginals`), yes/no values under kernels, a deterministic
+kernel-search falsifier, the one-wise-independence support decision (an
+exact LP feasibility question), and its lift to families.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional
 from . import lp
 from .basic_lp import LocalDistributionSolution
 from .core import Predicate, PredicateFamily, Instance, rho_upper_empirical
-from .core import compositions, mapping_items, product_mass, tuple_to_digits
+from .core import compositions, mapping_items, positional_marginals, product_mass
+from .core import tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
 from .rationals import as_int, to_fraction
 
@@ -66,36 +68,19 @@ class PairDistribution:
         return self.mass.items()
 
 
-@dataclass(frozen=True)
-class MarginalVector:
-    """Dense (predicate, position, symbol) array of joint coordinate marginals.
+def marginal_vector(dist: PairDistribution) -> dict:
+    """Joint coordinate marginals as {predicate name: rows}.
 
-    The (f, l, s) entry is the probability that the sampled atom uses
-    predicate f *and* has symbol s at position l; for each (f, l) the
-    entries over s sum to the predicate's total mass.
+    rows[l][s] is the probability that the sampled atom uses the predicate
+    *and* has symbol s at position l; each row sums to the predicate's mass.
     """
-
-    names: tuple
-    k: int
-    q: int
-    entries: tuple  # entries[f][l][s], aligned with `names`
-
-    def entry(self, name: str, position: int, symbol: int) -> Fraction:
-        return self.entries[self.names.index(name)][position][symbol]
-
-
-def marginal_vector(dist: PairDistribution) -> MarginalVector:
     fam = dist.family
-    k, q = fam.k, fam.q
-    grid = {name: [[Fraction(0)] * q for _ in range(k)] for name in fam.names}
-    for (name, values), weight in dist.atoms():
-        rows = grid[name]
-        for position, symbol in enumerate(values):
-            rows[position][symbol] += weight
-    entries = tuple(
-        tuple(tuple(row) for row in grid[name]) for name in fam.names
-    )
-    return MarginalVector(fam.names, k, q, entries)
+    return {
+        name: positional_marginals(
+            ((values, weight) for (f, values), weight in dist.atoms() if f == name), fam.q, fam.k
+        )
+        for name in fam.names
+    }
 
 
 def yes_value(dist: PairDistribution) -> Fraction:
@@ -275,7 +260,7 @@ def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
     no_mass = {}
     for ci, constraint in enumerate(inst.constraints):
         share = Fraction(constraint.weight, weight_total)
-        for values, mass in sol.local_distribution(ci).items():
+        for values, mass in sol.locals_[ci].items():
             key = (constraint.predicate, values)
             yes_mass[key] = yes_mass.get(key, Fraction(0)) + share * mass
         marginals = [sol.marginals[v - 1] for v in constraint.variables]

@@ -164,7 +164,7 @@ def test_criterion_4_width_solutions_reach_half():
         for ci in range(inst.m):
             contribution = sum(
                 mass
-                for values, mass in sol.local_distribution(ci).items()
+                for values, mass in sol.locals_[ci].items()
                 if inst.family["dicut"].value(values)
             )
             assert contribution == HALF

@@ -28,6 +28,7 @@ from cspgap import (
     solve_basic_lp,
 )
 from cspgap.basic_lp import LocalDistributionSolution, decode_primal
+from cspgap.core import digits_to_tuple
 from cspgap.serialize import solution_from_dict, solution_to_dict
 
 
@@ -154,9 +155,8 @@ def test_every_builder_round_trips_through_its_distributions(case):
     if all(witnesses[c.predicate] is not None for c in inst.constraints):
         solutions.append(lp_from_onewise(inst, witnesses))
     for sol in solutions:
-        maps = [sol.local_distribution(ci) for ci in range(inst.m)]
-        rebuilt = LocalDistributionSolution.from_distributions(inst, maps, sol.marginals, sol.value)
-        assert rebuilt == sol
+        maps = [dict(dist) for dist in sol.locals_]
+        assert LocalDistributionSolution(inst, maps, sol.marginals, sol.value) == sol
         assert solution_from_dict(solution_to_dict(sol), inst) == sol
 
 
@@ -200,14 +200,111 @@ def test_verify_rejects_broken_solutions():
     inst = single_edge()
     sol = solve_basic_lp(inst)
     # Perturb one local mass: the distribution no longer sums to one.
-    broken_locals = (tuple(
-        v + Fraction(1, 1000) if rank == 0 else v
-        for rank, v in enumerate(sol.locals_[0])
-    ),)
+    masses = dict(sol.locals_[0])
+    masses[(0, 0)] = masses.get((0, 0), 0) + Fraction(1, 1000)
+    broken_locals = (masses,)
     with pytest.raises(ValidationError, match="does not sum to 1"):
         LocalDistributionSolution(inst, broken_locals, sol.marginals, sol.value)
     with pytest.raises(ValidationError, match="stated objective"):
         LocalDistributionSolution(inst, sol.locals_, sol.marginals, sol.value - Fraction(1, 7))
+
+
+HALVES = [{(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}] * 3
+
+
+@pytest.mark.parametrize("maps, marginals, value", [
+    (HALVES, ((0.5, 0.5),) * 3, 1),
+    ([{(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1}], ((True, False), (False, True), (True, False)),
+     Fraction(2, 3)),
+    (HALVES, ((Fraction(1, 2), Fraction(1, 2)),) * 3, 1.0),
+], ids=["float marginal", "bool marginal", "float value"])
+def test_solution_refuses_inexact_marginals_and_values(maps, marginals, value):
+    with pytest.raises(ValidationError, match="must be integers"):
+        LocalDistributionSolution(triangle(), maps, marginals, value)
+
+
+def test_solution_reads_numpy_integer_marginals_as_ints():
+    np = pytest.importorskip("numpy")
+    marginals = ((np.int64(1), np.int64(0)), (np.int64(0), np.int64(1)))
+    sol = LocalDistributionSolution(single_edge(), [{(0, 1): np.int64(1)}], marginals, np.int64(1))
+    assert sol == point_mass_solution(single_edge(), (0, 1))
+    assert {type(v) for row in sol.marginals for v in row} | {type(sol.value)} == {Fraction}
+
+
+@st.composite
+def perturbed_solution(draw):
+    """An instance with q^k <= 27 and the masses of one of its feasible points, edited once.
+
+    The edit is a marginal-preserving swap (mass moves from tuples a and b to
+    the two tuples that exchange their coordinates in a position set S; S and
+    its complement give the same pair, so S is a nonempty proper subset), which
+    stays feasible unless it drives a mass negative; a move of mass from one
+    tuple to another, which breaks the marginals unless the tuples are equal;
+    or a single-entry perturbation, which breaks the sum.
+    """
+    q, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]))
+    table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
+    tables = draw(st.lists(table, min_size=1, max_size=2))
+    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    n = draw(st.integers(k, 4))
+    constraint = st.builds(
+        Constraint,
+        st.sampled_from(fam.names),
+        st.permutations(range(1, n + 1)).map(lambda order: order[:k]),
+        st.integers(1, 3),
+    )
+    inst = Instance(fam, n, tuple(draw(st.lists(constraint, min_size=1, max_size=4))))
+    if draw(st.booleans()):
+        sol = solve_basic_lp(inst)
+    else:
+        sol = point_mass_solution(inst, draw(st.tuples(*[st.integers(0, q - 1)] * n)))
+    maps = [dict(dist) for dist in sol.locals_]
+    dist = maps[draw(st.integers(0, inst.m - 1))]
+    cube = st.tuples(*[st.integers(0, q - 1)] * k)
+    edit = draw(st.sampled_from(["swap", "move", "bump"]))
+    if edit == "swap":
+        support = st.sampled_from(sorted(dist))
+        a, b = draw(support), draw(st.one_of(support, cube))
+        swapped = draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
+        a2 = tuple(b[pos] if pos in swapped else a[pos] for pos in range(k))
+        b2 = tuple(a[pos] if pos in swapped else b[pos] for pos in range(k))
+        delta = Fraction(draw(st.integers(0, 4)), 4) * dist[a]
+        for atom, sign in ((a, -1), (b, -1), (a2, 1), (b2, 1)):
+            dist[atom] = dist.get(atom, 0) + sign * delta
+    elif edit == "move":
+        a, b = draw(st.sampled_from(sorted(dist))), draw(cube)
+        delta = Fraction(draw(st.integers(1, 4)), 4) * dist[a]
+        dist[a] -= delta
+        dist[b] = dist.get(b, 0) + delta
+    else:
+        atom = draw(cube)
+        dist[atom] = dist.get(atom, 0) + Fraction(draw(st.sampled_from([-2, -1, 1, 3])), 4)
+    return inst, maps, sol.marginals
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=perturbed_solution())
+def test_solution_checks_agree_with_the_lp_rows(case):
+    inst, maps, marginals = case
+    problem = build_basic_lp(inst)
+
+    def column(label):
+        first, second = label[2:-1].split(",")
+        if label[0] == "x":
+            return marginals[int(first) - 1][int(second)]
+        return maps[int(first) - 1].get(digits_to_tuple(second, inst.family.q), 0)
+
+    x = [column(label) for label in problem.labels]
+    value = sum(c * v for c, v in zip(problem.objective, x))
+    feasible = min(x) >= 0 and all(
+        sum(a * v for a, v in zip(row, x)) == b for row, b in zip(problem.rows, problem.rhs)
+    )
+    try:
+        sol = LocalDistributionSolution(inst, maps, marginals, value)
+    except ValidationError:
+        assert not feasible
+    else:
+        assert feasible and sol.value == value
 
 
 def test_lp_from_onewise_cut():
@@ -243,8 +340,7 @@ def test_lp_from_width_dicut():
         assert sol.value == Fraction(1, 2)
         # Each local distribution is the two-point shift orbit of (0, 1).
         for ci in range(inst.m):
-            dist = sol.local_distribution(ci)
-            assert dist == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+            assert sol.locals_[ci] == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
         assert solve_basic_lp(inst).value >= Fraction(1, 2)
 
 

@@ -85,7 +85,7 @@ def test_ternary_yes_no_marginals_match():
     assert mv == marginal_vector(no_u)
     for position in range(2):
         for symbol in range(3):
-            assert mv.entry("neq", position, symbol) == Fraction(1, 3)
+            assert mv["neq"][position][symbol] == Fraction(1, 3)
 
 
 def test_ternary_kernel_search_budget_and_identity():

@@ -1,5 +1,6 @@
 """Cross-cutting pipeline cases: weights, random-mode search, budgets."""
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from cspgap import (
     cut_family,
     dicut_family,
     gap_report,
+    marginal_vector,
     no_sup_search,
     no_value,
     rho_product_lower,
@@ -112,7 +114,7 @@ def test_support_classification_subfamily_cap():
 
 def _numbers(*values):
     for value in values:
-        if isinstance(value, dict):
+        if isinstance(value, Mapping):
             yield from _numbers(*value.values())
         elif isinstance(value, (tuple, list)):
             yield from _numbers(*value)
@@ -139,7 +141,7 @@ def test_every_returned_rational_is_a_fraction():
     assert no_rows.status == zero_rows.status == "optimal"
 
     report = gap_report(triangle())
-    _, no_dist = construct_yes_no(report.instance, report.lp_witness)
+    yes_dist, no_dist = construct_yes_no(report.instance, report.lp_witness)
     bound, kernel = no_sup_search(no_dist, budget=40)
     witness = report.lp_witness
     numbers = list(_numbers(
@@ -148,10 +150,13 @@ def test_every_returned_rational_is_a_fraction():
         no_rows.value, no_rows.primal, zero_rows.value, zero_rows.primal,
         report.lp_value, report.csp_value, report.gap,
         witness.value, witness.marginals, witness.locals_,
+        yes_dist.mass, no_dist.mass, marginal_vector(yes_dist),
         no_value(no_dist, kernel), bound, kernel.rows,
         rho_product_lower(cut_family(), Fraction(1, 8)),
     ))
     assert len(numbers) > 40
     assert [v for v in numbers if type(v) is not Fraction] == []
+    with pytest.raises(TypeError):  # a verified solution cannot be edited afterwards
+        witness.locals_[0][(0, 0)] = Fraction(1)
     with pytest.raises(ValidationError):
         to_fraction(0.5)

@@ -94,10 +94,10 @@ def test_pair_distribution_does_not_depend_on_atom_order(data):
 def test_marginal_vector_point_mass():
     dist = PairDistribution(CUT, {("cut", (0, 1)): Fraction(1)})
     mv = marginal_vector(dist)
-    assert mv.entry("cut", 0, 0) == 1
-    assert mv.entry("cut", 1, 1) == 1
-    assert mv.entry("cut", 0, 1) == 0
-    assert mv.entry("cut", 1, 0) == 0
+    assert mv["cut"][0][0] == 1
+    assert mv["cut"][1][1] == 1
+    assert mv["cut"][0][1] == 0
+    assert mv["cut"][1][0] == 0
 
 
 def test_marginal_vector_two_point_and_uniform():
@@ -105,7 +105,7 @@ def test_marginal_vector_two_point_and_uniform():
         mv = marginal_vector(dist)
         for position in range(2):
             for symbol in range(2):
-                assert mv.entry("cut", position, symbol) == HALF
+                assert mv["cut"][position][symbol] == HALF
 
 
 def test_yes_value_examples():
