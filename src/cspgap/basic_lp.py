@@ -30,13 +30,12 @@ from .core import (
     Instance,
     brute_force_opt,
     csp_value,
-    mapping_items,
     positional_marginals,
     tuple_to_digits,
     width,
 )
 from .errors import InternalError, ValidationError
-from .rationals import to_fraction
+from .rationals import mapping_items, to_fraction
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,8 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
     labels = [f"x[{i},{b}]" for i in range(1, n + 1) for b in range(q)]
     labels += [f"y[{ci},{digits}]" for ci in range(1, inst.m + 1) for digits in spelled]
 
-    objective = [Fraction(0)] * num_vars
+    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+    objective = [zero] * num_vars
     weight_total = inst.total_weight
     for ci, constraint in enumerate(inst.constraints):
         share = Fraction(constraint.weight, weight_total)
@@ -139,28 +139,17 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
             if bit:
                 objective[base + rank] = share
 
-    rows = []
-    rhs = []
-    zero_row = [Fraction(0)] * num_vars
-    for i in range(n):
-        row = zero_row[:]
-        for b in range(q):
-            row[i * q + b] = Fraction(1)
-        rows.append(tuple(row))
-        rhs.append(Fraction(1))
-    one = Fraction(1)
+    rows = [{i * q + b: one for b in range(q)} for i in range(n)]
+    rhs = [one] * n
     for ci, constraint in enumerate(inst.constraints):
         base = num_x + ci * size
         for pos, variable in enumerate(constraint.variables):
             for symbol in range(q):
-                row = zero_row[:]
-                for rank, a in enumerate(cube):
-                    if a[pos] == symbol:
-                        row[base + rank] = one
-                row[(variable - 1) * q + symbol] = -one
-                rows.append(tuple(row))
-                rhs.append(Fraction(0))
-    return lp.LpProblem(tuple(objective), tuple(rows), tuple(rhs), tuple(labels))
+                row = {base + rank: one for rank, a in enumerate(cube) if a[pos] == symbol}
+                row[(variable - 1) * q + symbol] = minus_one
+                rows.append(row)
+                rhs.append(zero)
+    return lp.LpProblem(objective, rows, rhs, labels)
 
 
 def decode_primal(inst: Instance, primal: dict, value: Fraction) -> LocalDistributionSolution:

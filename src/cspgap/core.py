@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,13 +29,6 @@ DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
 # Symbols of [q] as written in files and LP labels; bounds q from above.
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def mapping_items(value, field: str):
-    """Items of a mapping; anything else raises."""
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"{field} must be a mapping, got {value!r}")
-    return value.items()
 
 
 def tuple_to_digits(values) -> str:

@@ -1,11 +1,14 @@
 """Exact rational linear programming for standard-form problems.
 
 Problems are "maximize c.x subject to A x = b, x >= 0" with every entry an
-exact rational.  The solver is a two-phase primal simplex on a fraction-free
-tableau (integer-preserving pivoting: each row is Python ints over one
-positive denominator) using Bland's anti-cycling rule (lowest eligible index
-enters; ratio ties break toward the lowest basic index), which makes every
-run terminating and deterministic.  Nothing is returned unverified:
+exact rational; c is dense and each row of A is a read-only {column:
+coefficient} map of its nonzeros, the one form that the tableau set-up, the
+certificate checks and `dump_lp` read.  The solver is a two-phase primal
+simplex on a fraction-free tableau (integer-preserving pivoting: each row is
+Python ints over one positive denominator) using Bland's anti-cycling rule
+(lowest eligible index enters; ratio ties break toward the lowest basic
+index), which makes every run terminating and deterministic.  Nothing is
+returned unverified:
 
   * optimal    -- the primal is re-checked against A x = b, x >= 0, c.x = value,
                   and a dual vector read off the final tableau certifies
@@ -24,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import InternalError, ValidationError
-from .rationals import format_rational, to_fraction
+from .rationals import format_rational, int_tuple, mapping_items, to_fraction
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,7 +40,12 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  subject to  rows x = rhs,  x >= 0."""
+    """maximize objective . x  subject to  rows x = rhs,  x >= 0.
+
+    `objective` is dense, one entry per distinct `str` label.  Each row is a
+    {column: coefficient} mapping over columns in [0, n), stored as a
+    read-only map of its nonzero `Fraction`s in column order.
+    """
 
     objective: tuple
     rows: tuple
@@ -44,27 +53,32 @@ class LpProblem:
     labels: tuple
 
     def __post_init__(self):
-        # Tuples are built from lists: tuple(<generator>) grows a 10-slot
-        # tuple by resizing, which parks thousands of freed tuples of sizes
-        # 11-20 on the interpreter's free lists and raises the peak RSS.
+        # Built from lists: tuple(map(...)) grows a 10-slot tuple by resizing,
+        # which raised the search benchmark's peak RSS by about 0.7 MB.
         objective = tuple([to_fraction(v) for v in self.objective])
-        rows = tuple([tuple([to_fraction(v) for v in row]) for row in self.rows])
         rhs = tuple([to_fraction(v) for v in self.rhs])
-        labels = tuple([str(s) for s in self.labels])
+        labels = tuple(self.labels)
         n = len(objective)
         if len(labels) != n:
             raise ValidationError(f"{len(labels)} labels for {n} variables")
+        if not all(isinstance(s, str) for s in labels):
+            raise ValidationError(f"variable labels must be strings, got {labels!r}")
         if len(set(labels)) != n:
             raise ValidationError("variable labels must be unique")
+        rows = []
+        for i, row in enumerate(self.rows):
+            items = mapping_items(row, f"row {i}")
+            columns = int_tuple([j for j, _ in items], f"row {i} columns")
+            if not all(0 <= j < n for j in columns):
+                raise ValidationError(f"row {i} has a column outside [0, {n}): {columns}")
+            entries = sorted(zip(columns, [to_fraction(c) for _, c in items]))
+            rows.append(MappingProxyType({j: c for j, c in entries if c}))
         if len(rhs) != len(rows):
             raise ValidationError(
                 f"{len(rows)} constraint rows but {len(rhs)} right-hand sides"
             )
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
         object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "labels", labels)
 
@@ -100,17 +114,14 @@ class FeasibilityResult:
 def dump_lp(problem: LpProblem) -> str:
     """Human-readable text form, one constraint per line, rationals as p/q."""
 
-    def linear(coeffs):
-        terms = [
-            f"{format_rational(c)} {label}"
-            for c, label in zip(coeffs, problem.labels)
-            if c != 0
-        ]
-        return " + ".join(terms) if terms else "0/1"
+    def linear(terms):
+        text = " + ".join(f"{format_rational(c)} {problem.labels[j]}" for j, c in terms)
+        return text or "0/1"
 
-    lines = [f"maximize {linear(problem.objective)}"]
+    objective = [(j, c) for j, c in enumerate(problem.objective) if c]
+    lines = [f"maximize {linear(objective)}"]
     for row, b in zip(problem.rows, problem.rhs):
-        lines.append(f"subject to {linear(row)} = {format_rational(b)}")
+        lines.append(f"subject to {linear(row.items())} = {format_rational(b)}")
     lines.append("all variables >= 0")
     return "\n".join(lines)
 
@@ -166,12 +177,13 @@ class _Tableau:
         self.rows = []
         self.dens = []
         for i, (coeffs, b) in enumerate(zip(problem.rows, problem.rhs)):
-            nums, den = _over_lcd((*coeffs, b))
+            nums, den = _over_lcd([*coeffs.values(), b])
             sign = 1 if nums[-1] >= 0 else -1
-            if sign < 0:
-                nums = [-v for v in nums]
-            row = nums[:-1] + [0] * self.m + nums[-1:]
+            row = [0] * (self.ncols + 1)
+            for j, v in zip(coeffs, nums):
+                row[j] = sign * v
             row[self.n + i] = den
+            row[-1] = sign * nums[-1]
             self.signs.append(sign)
             self.rows.append(row)
             self.dens.append(den)
@@ -262,9 +274,8 @@ def _column_sums(problem: LpProblem, y) -> list:
     columns = [0] * problem.num_variables
     for yi, row in zip(y, problem.rows):
         if yi:
-            for j, c in enumerate(row):
-                if c:
-                    columns[j] += yi * c
+            for j, c in row.items():
+                columns[j] += yi * c
     return columns
 
 
@@ -273,9 +284,8 @@ def _dot(coeffs, x):
 
 
 def _row_dots(rows, x) -> list:
-    """row.x for every row, summed over the nonzeros of x."""
-    support = [(j, v) for j, v in enumerate(x) if v]
-    return [sum(row[j] * v for j, v in support if row[j]) for row in rows]
+    """row.x for every row, summed over the nonzeros of both."""
+    return [sum(c * x[j] for j, c in row.items() if x[j]) for row in rows]
 
 
 def _phase_one(tab: _Tableau, problem: LpProblem) -> Optional[tuple]:

@@ -5,13 +5,14 @@ Every rational the package takes or returns is a `fractions.Fraction`
 rational type.  Only the simplex tableau in `lp` works on Python ints over
 a common denominator.  Rationals serialize as "p/q" strings.  Every integer
 input, a count or a rational, passes one rule (`int_tuple`): numpy integers
-are integers, bools are not.
+are integers, bools are not; every mapping input passes `mapping_items`.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -34,6 +35,13 @@ def int_tuple(values, field: str) -> tuple:
     except TypeError:
         pass
     raise ValidationError(f"{field} must be integers, got {values!r}")
+
+
+def mapping_items(value, field: str):
+    """Items of a mapping; anything else raises."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{field} must be a mapping, got {value!r}")
+    return value.items()
 
 
 def as_int(value, field: str) -> int:

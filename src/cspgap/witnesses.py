@@ -27,10 +27,10 @@ from typing import Optional
 from . import lp
 from .basic_lp import LocalDistributionSolution
 from .core import Predicate, PredicateFamily, Instance, rho_upper_empirical
-from .core import compositions, mapping_items, positional_marginals, product_mass
+from .core import compositions, positional_marginals, product_mass
 from .core import tuple_to_digits
 from .errors import BudgetError, InternalError, ValidationError
-from .rationals import as_int, to_fraction
+from .rationals import as_int, mapping_items, to_fraction
 
 
 @dataclass(frozen=True)
@@ -304,17 +304,13 @@ def onewise_support(pred: Predicate) -> OnewiseSupport:
     q, k = pred.q, pred.k
     satisfying = pred.satisfying_tuples()
     labels = tuple(f"m[{tuple_to_digits(a)}]" for a in satisfying)
-    rows = []
-    rhs = []
-    for position in range(k):
-        for symbol in range(q):
-            rows.append(tuple(
-                Fraction(1) if a[position] == symbol else Fraction(0)
-                for a in satisfying
-            ))
-            rhs.append(Fraction(1, q))
+    rows = [
+        {j: Fraction(1) for j, a in enumerate(satisfying) if a[position] == symbol}
+        for position in range(k)
+        for symbol in range(q)
+    ]
     problem = lp.LpProblem(
-        tuple(Fraction(0) for _ in satisfying), tuple(rows), tuple(rhs), labels
+        (Fraction(0),) * len(satisfying), rows, (Fraction(1, q),) * len(rows), labels
     )
     result = lp.check_feasible(problem)
     if not result:

@@ -1,4 +1,4 @@
-"""Shared test helpers: canonical instances, random LPs and a fresh-process CLI runner."""
+"""Shared test helpers: canonical instances, random LPs, dense LP rows and a CLI runner."""
 
 import itertools
 import json
@@ -67,7 +67,14 @@ def random_lp(rng, max_vars=12, max_rows=5):
         rhs.append(Fraction(rng.randint(1, 3)))
     objective = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
     labels = tuple(f"v{j}" for j in range(n))
-    return LpProblem(objective, tuple(tuple(r) for r in rows), tuple(rhs), labels)
+    return LpProblem(objective, [dict(enumerate(r)) for r in rows], tuple(rhs), labels)
+
+
+def dense_rows(problem):
+    """The problem's sparse constraint rows as dense tuples of n Fractions, zeros included."""
+    zero = Fraction(0)
+    columns = range(problem.num_variables)
+    return tuple(tuple(row.get(j, zero) for j in columns) for row in problem.rows)
 
 
 def dicut_complete(t):

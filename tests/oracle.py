@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
 
+from builders import dense_rows
 from cspgap import INFEASIBLE, OPTIMAL, UNBOUNDED, BudgetError, LpProblem, LpSolution
 from cspgap.core import compositions
 
@@ -84,7 +85,7 @@ def vertex_enum_oracle(problem: LpProblem, basis_budget: int = 5_000_000) -> LpS
     Intended for small problems only (the subset count is checked against
     the budget up front).
     """
-    rows, rhs, objective = problem.rows, problem.rhs, problem.objective
+    rows, rhs, objective = dense_rows(problem), problem.rhs, problem.objective
     n = problem.num_variables
 
     rank = _matrix_rank(rows)

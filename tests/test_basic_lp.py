@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import cycle_instance, random_instance, seeded, single_edge, triangle
+from builders import cycle_instance, dense_rows, random_instance, seeded, single_edge, triangle
 from cspgap import (
     Constraint,
     Instance,
@@ -232,17 +232,12 @@ def test_solution_reads_numpy_integer_marginals_as_ints():
 
 
 @st.composite
-def perturbed_solution(draw):
-    """An instance with q^k <= 27 and the masses of one of its feasible points, edited once.
+def small_instance(draw, shapes):
+    """An instance over a (q, k) from `shapes`.
 
-    The edit is a marginal-preserving swap (mass moves from tuples a and b to
-    the two tuples that exchange their coordinates in a position set S; S and
-    its complement give the same pair, so S is a nonempty proper subset), which
-    stays feasible unless it drives a mass negative; a move of mass from one
-    tuple to another, which breaks the marginals unless the tuples are equal;
-    or a single-entry perturbation, which breaks the sum.
+    It has 1-2 random predicates, k <= n <= 4 variables, 1-4 constraints and weights 1-3.
     """
-    q, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]))
+    q, k = draw(st.sampled_from(shapes))
     table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
     tables = draw(st.lists(table, min_size=1, max_size=2))
     fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
@@ -253,7 +248,60 @@ def perturbed_solution(draw):
         st.permutations(range(1, n + 1)).map(lambda order: order[:k]),
         st.integers(1, 3),
     )
-    inst = Instance(fam, n, tuple(draw(st.lists(constraint, min_size=1, max_size=4))))
+    return Instance(fam, n, tuple(draw(st.lists(constraint, min_size=1, max_size=4))))
+
+
+def stride_lp(inst):
+    """The basic LP as dense (objective, rows, rhs), written independently of `build_basic_lp`.
+
+    Column (C, rank) holds the mass of the tuple whose digit at position pos
+    is (rank // q**(k-1-pos)) % q, the stride arithmetic that
+    `bench/run.py:highs_lp_value` uses for its HiGHS cross-check.
+    """
+    fam, n = inst.family, inst.n
+    q, k = fam.q, fam.k
+    size, num_x = q**k, n * q
+    cols = num_x + inst.m * size
+    total = sum(c.weight for c in inst.constraints)
+    objective = [Fraction(0)] * cols
+    rows = [[Fraction(int(i * q <= j < (i + 1) * q)) for j in range(cols)] for i in range(n)]
+    rhs = [Fraction(1)] * n
+    for ci, c in enumerate(inst.constraints):
+        base = num_x + ci * size
+        for rank, bit in enumerate(fam[c.predicate].table):
+            objective[base + rank] = Fraction(bit * c.weight, total)
+        for pos, variable in enumerate(c.variables):
+            for symbol in range(q):
+                row = [Fraction(0)] * cols
+                for rank in range(size):
+                    if (rank // q ** (k - 1 - pos)) % q == symbol:
+                        row[base + rank] = Fraction(1)
+                row[(variable - 1) * q + symbol] = Fraction(-1)
+                rows.append(row)
+                rhs.append(Fraction(0))
+    return tuple(objective), tuple(map(tuple, rows)), tuple(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instance([(q, k) for q in (2, 3) for k in (1, 2, 3)]))
+def test_basic_lp_layout_matches_stride_arithmetic(inst):
+    problem = build_basic_lp(inst)
+    assert (problem.objective, dense_rows(problem), problem.rhs) == stride_lp(inst)
+
+
+@st.composite
+def perturbed_solution(draw):
+    """An instance with q^k <= 27 and the masses of one of its feasible points, edited once.
+
+    The edit is a marginal-preserving swap (mass moves from tuples a and b to
+    the two tuples that exchange their coordinates in a position set S; S and
+    its complement give the same pair, so S is a nonempty proper subset), which
+    stays feasible unless it drives a mass negative; a move of mass from one
+    tuple to another, which breaks the marginals unless the tuples are equal;
+    or a single-entry perturbation, which breaks the sum.
+    """
+    inst = draw(small_instance([(2, 2), (3, 2), (2, 3), (3, 3)]))
+    q, k, n = inst.family.q, inst.family.k, inst.n
     if draw(st.booleans()):
         sol = solve_basic_lp(inst)
     else:
@@ -297,7 +345,8 @@ def test_solution_checks_agree_with_the_lp_rows(case):
     x = [column(label) for label in problem.labels]
     value = sum(c * v for c, v in zip(problem.objective, x))
     feasible = min(x) >= 0 and all(
-        sum(a * v for a, v in zip(row, x)) == b for row, b in zip(problem.rows, problem.rhs)
+        sum(a * v for a, v in zip(row, x)) == b
+        for row, b in zip(dense_rows(problem), problem.rhs)
     )
     try:
         sol = LocalDistributionSolution(inst, maps, marginals, value)

@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from builders import cycle_instance, random_lp, seeded, single_edge
+from builders import cycle_instance, dense_rows, random_lp, seeded, single_edge
 from oracle import vertex_enum_oracle
 from cspgap import (
     BudgetError,
@@ -23,17 +25,64 @@ from cspgap import (
 
 
 def lp(objective, rows, rhs):
+    """A problem from dense rows, given to `LpProblem` as {column: coefficient} maps."""
     labels = tuple(f"v{i}" for i in range(len(objective)))
-    return LpProblem(tuple(objective), tuple(map(tuple, rows)), tuple(rhs), labels)
+    return LpProblem(tuple(objective), [dict(enumerate(r)) for r in rows], tuple(rhs), labels)
 
 
 def test_problem_validation():
     with pytest.raises(ValidationError):
-        LpProblem((1,), ((1, 2),), (1,), ("a",))
+        LpProblem((1,), ({0: 1, 1: 2},), (1,), ("a",))
     with pytest.raises(ValidationError):
         LpProblem((1, 2), (), (1,), ("a", "b"))
     with pytest.raises(ValidationError):
         LpProblem((1, 2), ((1, 2),), (1,), ("a", "a"))
+
+
+@pytest.mark.parametrize(
+    "rows, labels",
+    [
+        (((1,),), ("a",)),
+        (({1: 1},), ("a",)),
+        (({-1: 1},), ("a",)),
+        (({True: 1},), ("a",)),
+        (({0: 0.5},), ("a",)),
+        (({0: 1},), (0,)),
+    ],
+    ids=["dense row", "column >= n", "negative column", "bool column", "float", "int label"],
+)
+def test_problem_refuses_malformed_rows_and_labels(rows, labels):
+    with pytest.raises(ValidationError):
+        LpProblem((1,), rows, (1,), labels)
+
+
+entries = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rows_in_any_mapping_form_give_one_problem(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
+    dense = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    objective = data.draw(st.lists(entries, min_size=n, max_size=n))
+    rhs = data.draw(st.lists(entries, min_size=m, max_size=m))
+    labels = tuple(f"v{j}" for j in range(n))
+    shuffled = [{j: row[j] for j in data.draw(st.permutations(range(n)))} for row in dense]
+    canonical = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in dense]
+    loose = LpProblem(objective, shuffled, rhs, labels)
+    problem = LpProblem(objective, canonical, rhs, labels)
+    assert loose == problem
+    assert [list(row.items()) for row in loose.rows] == [list(row.items()) for row in problem.rows]
+    assert {type(c) for row in loose.rows for c in row.values()} <= {Fraction}
+    assert dense_rows(loose) == tuple(tuple(map(Fraction, row)) for row in dense)
+    assert solve(loose) == solve(problem)
+    assert dump_lp(loose) == dump_lp(problem)
+    assert LpProblem(loose.objective, loose.rows, loose.rhs, loose.labels) == loose
 
 
 def test_simple_optimal():
@@ -50,7 +99,7 @@ def test_simple_infeasible_with_farkas():
     y = solution.farkas
     # y.A >= 0 columnwise and y.b < 0, checked here independently.
     assert all(
-        sum(yi * row[j] for yi, row in zip(y, problem.rows)) >= 0
+        sum(yi * row[j] for yi, row in zip(y, dense_rows(problem))) >= 0
         for j in range(problem.num_variables)
     )
     assert sum(yi * bi for yi, bi in zip(y, problem.rhs)) < 0
@@ -71,7 +120,7 @@ def test_unbounded_with_constraints():
     solution = solve(problem)
     assert solution.status == "unbounded"
     ray = [solution.ray[label] for label in problem.labels]
-    assert sum(c * v for c, v in zip(problem.rows[0], ray)) == 0
+    assert sum(c * v for c, v in zip(dense_rows(problem)[0], ray)) == 0
 
 
 def test_degenerate_and_redundant_rows():
@@ -131,7 +180,7 @@ def test_returned_primal_is_exact_and_canonical():
         if solution.status != "optimal":
             continue
         x = [solution.primal[label] for label in problem.labels]
-        for row, b in zip(problem.rows, problem.rhs):
+        for row, b in zip(dense_rows(problem), problem.rhs):
             assert sum(c * v for c, v in zip(row, x)) == b
         assert all(v >= 0 for v in x)
         for v in x:
@@ -173,6 +222,8 @@ def test_dump_lp_format():
     assert lines[0] == "maximize 1/1 v0"
     assert lines[1] == "subject to 1/1 v0 + 1/1 v1 = 1/1"
     assert lines[-1] == "all variables >= 0"
+    empty = dump_lp(LpProblem((0, 0), ({},), (0,), ("v0", "v1"))).splitlines()
+    assert empty[:2] == ["maximize 0/1", "subject to 0/1 = 0/1"]
 
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -205,7 +256,7 @@ def test_solver_agrees_with_highs_beyond_the_oracle():
         got = solve(problem)
         want = linprog(
             [-float(c) for c in problem.objective],
-            A_eq=[[float(v) for v in row] for row in problem.rows] or None,
+            A_eq=[[float(v) for v in row] for row in dense_rows(problem)] or None,
             b_eq=[float(b) for b in problem.rhs] or None,
             bounds=(0, None),
             method="highs",

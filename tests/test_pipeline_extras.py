@@ -125,7 +125,7 @@ def _numbers(*values):
 def test_every_returned_rational_is_a_fraction():
     def problem(objective, rows, rhs):
         labels = tuple(f"v{j}" for j in range(len(objective)))
-        return LpProblem(objective, rows, rhs, labels)
+        return LpProblem(objective, [dict(enumerate(r)) for r in rows], rhs, labels)
 
     optimal = solve(problem((1, 1), ((1, 2),), (2,)))
     infeasible = solve(problem((1,), ((1,),), (-1,)))
