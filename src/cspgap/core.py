@@ -103,23 +103,26 @@ class PredicateFamily:
     """A non-empty, ordered collection of predicates over one (q, k)."""
 
     predicates: tuple
+    # name -> predicate, built once; not part of repr, equality or hash
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         preds = tuple(self.predicates)
         if not preds:
             raise ValidationError("predicate family must be non-empty")
         q, k = preds[0].q, preds[0].k
-        names = set()
+        by_name = {}
         for p in preds:
             if (p.q, p.k) != (q, k):
                 raise ValidationError(
                     f"predicate {p.name!r} has (q, k) = ({p.q}, {p.k}),"
                     f" family requires ({q}, {k})"
                 )
-            if p.name in names:
+            if p.name in by_name:
                 raise ValidationError(f"duplicate predicate name {p.name!r}")
-            names.add(p.name)
+            by_name[p.name] = p
         object.__setattr__(self, "predicates", preds)
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def q(self) -> int:
@@ -134,13 +137,10 @@ class PredicateFamily:
         return tuple(p.name for p in self.predicates)
 
     def __getitem__(self, name: str) -> Predicate:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self._by_name[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(p.name == name for p in self.predicates)
+        return name in self._by_name
 
     def subfamily(self, names) -> "PredicateFamily":
         return PredicateFamily(tuple(self[name] for name in names))
@@ -153,6 +153,10 @@ class Constraint:
     weight: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.predicate, str):
+            raise ValidationError(
+                f"constraint predicate must be a name string, got {self.predicate!r}"
+            )
         object.__setattr__(self, "variables", int_tuple(self.variables, "constraint variables"))
         object.__setattr__(self, "weight", as_int(self.weight, "constraint weight"))
         if self.weight < 1:
@@ -192,7 +196,7 @@ class Instance:
                 raise ValidationError(
                     f"repeated variable in constraint {c.predicate!r}{c.variables}"
                 )
-            if any(v < 1 or v > self.n for v in c.variables):
+            if min(c.variables) < 1 or max(c.variables) > self.n:
                 raise ValidationError(
                     f"variable index out of range in {c.predicate!r}{c.variables}"
                     f" (n = {self.n})"
@@ -329,9 +333,15 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     true maximin lies in [result, result + precision].  Deterministic.
 
     A point with lattice counts c on denominator N gives each predicate the
-    integer mass N**k * E[f]; the scan keeps the best minimum as such a mass
-    and stops scoring a point at its first predicate whose mass is no
-    greater, since a point replaces the best only on strict improvement.
+    integer mass N**k * E[f], and the best minimum is kept as such a mass.
+    The grid is scanned one lattice line (*head, t, rest - t) at a time, in
+    the lexicographic order of `compositions`: along a line each mass is a
+    polynomial of degree <= k in t, so min(k, rest) + 1 `product_mass` calls
+    give its forward differences at t = 0 and running sums give it at every
+    t.  A line's first maximal minimum replaces the best only on strict
+    improvement, so the chosen point is the first maximizer of the plain
+    point-by-point scan.  The ascent scores single points and stops at the
+    first predicate whose mass is no greater than the best.
     """
     precision = to_fraction(precision)
     if precision <= 0:
@@ -355,11 +365,29 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
             low = mass if low is None else min(low, mass)
         return low
 
+    def line_curve(tuples, head, rest):
+        # masses at (*head, t, rest - t) for t = 0..rest: a polynomial of
+        # degree <= k in t, so its forward differences at t = 0 up to order
+        # min(k, rest) rebuild the line by running sums
+        values = [
+            product_mass(tuples, ((*head, t, rest - t),) * k) for t in range(min(k, rest) + 1)
+        ]
+        diffs = []
+        while values:
+            diffs.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        curve = [diffs.pop()] * (rest + 1)
+        for first in reversed(diffs):
+            curve = list(itertools.accumulate(curve[:-1], initial=first))
+        return curve
+
     best = -1
-    for counts in compositions(denominator, q):
-        mass = raised_min(counts, best)
-        if mass > best:
-            best, point = mass, counts
+    for *head, rest in compositions(denominator, q - 1):
+        lows = list(map(min, zip(*(line_curve(tuples, head, rest) for tuples in sat))))
+        low = max(lows)
+        if low > best:
+            t = lows.index(low)
+            best, point = low, (*head, t, rest - t)
 
     # Local ascent on a refined lattice; any feasible point only improves the
     # lower bound, the bracket guarantee already comes from the grid above.
@@ -430,18 +458,18 @@ def rho_upper_empirical(
     rng = random.Random(seed)
 
     def instances():
+        # per n, each universe constraint at weights 1 and 2, built once
         universes = {}
         for t in range(fam.k, n_max + 1):
             complete = complete_instance(fam, t)
-            universes[t] = complete.constraints
+            universes[t] = tuple(
+                (c, Constraint(c.predicate, c.variables, 2)) for c in complete.constraints
+            )
             yield complete
         while True:
             n = rng.randint(fam.k, n_max)
             m = rng.randint(1, max(2, 2 * n))
-            constraints = tuple(
-                Constraint(c.predicate, c.variables, rng.randint(1, 2))
-                for c in (rng.choice(universes[n]) for _ in range(m))
-            )
+            constraints = tuple(rng.choice(universes[n])[rng.randint(1, 2) - 1] for _ in range(m))
             yield Instance(fam, n, constraints)
 
     best = Fraction(1)

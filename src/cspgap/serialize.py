@@ -93,7 +93,7 @@ def instance_from_dict(data: dict) -> Instance:
     constraints = []
     for entry in raw_constraints:
         try:
-            name = entry["f"]
+            name = strict(entry["f"], str)
             variables = strict_ints(entry["vars"])
             weight = strict(entry.get("w", 1), int)
         except (KeyError, TypeError, ValueError) as exc:

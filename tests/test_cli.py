@@ -236,10 +236,16 @@ def test_malformed_instance_field_is_operational_error(
         (("family", "predicates", 0, "table"), "0110", "family"),
         (("family", "predicates", 0, "table"), [0, True, 1, 0], "family"),
         (("family", "predicates", 0, "name"), [[1]], "family"),
+        # a predicate name that is no string, unhashable ones included
+        (("constraints", 0, "f"), ["cut"], "constraint"),
+        (("constraints", 0, "f"), {"x": 1}, "constraint"),
+        (("constraints", 0, "f"), 5, "constraint"),
+        (("constraints", 0, "f"), None, "constraint"),
     ],
     ids=[
         "w-float", "w-bool", "vars-float", "vars-string",
         "q-string", "table-string", "table-bool", "name-list",
+        "f-list", "f-dict", "f-int", "f-null",
     ],
 )
 def test_malformed_nested_field_is_operational_error(

@@ -63,6 +63,27 @@ def test_predicate_rejects_bad_tables():
         Predicate(1, 2, "p", (0, 1))
 
 
+def test_family_name_map_is_invisible():
+    tables = ((0, 1, 1, 0), (0, 0, 1, 0), (1, 1, 1, 0))
+    preds = tuple(Predicate(2, 2, name, t) for name, t in zip("abc", tables))
+    fam = PredicateFamily(preds)
+    assert fam["b"] is preds[1] and "c" in fam
+    twin = PredicateFamily(tuple(Predicate(2, 2, name, t) for name, t in zip("abc", tables)))
+    assert repr(fam) == repr(twin) == f"PredicateFamily(predicates={preds!r})"
+    assert fam == twin and hash(fam) == hash(twin)
+    with pytest.raises(KeyError):
+        fam["d"]
+    assert "d" not in fam and 5 not in fam
+    assert fam.subfamily(["c", "a"]).names == ("c", "a")
+    assert fam.subfamily(["c", "a"]) == PredicateFamily((preds[2], preds[0]))
+
+
+def test_constraint_predicate_must_be_a_name():
+    for name in (["cut"], {"x": 1}, 5, None):
+        with pytest.raises(ValidationError, match="constraint predicate must be a name string"):
+            Constraint(name, (1, 2))
+
+
 def test_family_invariants():
     cut = cut_family().predicates[0]
     with pytest.raises(ValidationError):
@@ -274,22 +295,54 @@ def test_rho_product_lower_examples():
     assert rho_product_lower(constant_one_family(), Fraction(1, 16)) == 1
 
 
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_rho_product_lower_matches_the_plain_scan(data):
-    q = data.draw(st.sampled_from((2, 3)), label="q")
-    k = data.draw(st.integers(1, 3), label="k")
+def draw_family(data, q, k) -> PredicateFamily:
     table = st.one_of(
         st.just((0,) * q**k),
         st.just((1,) * q**k),
         st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple),
     )
     tables = data.draw(st.lists(table, min_size=1, max_size=3), label="tables")
-    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    return PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_rho_product_lower_matches_the_plain_scan(data):
+    q = data.draw(st.sampled_from((2, 3)), label="q")
+    k = data.draw(st.integers(1, 3), label="k")
+    fam = draw_family(data, q, k)
     precision = data.draw(
         st.sampled_from((Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))), label="precision"
     )
     assert rho_product_lower(fam, precision) == product_maximin_reference(fam, precision)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_rho_product_lower_matches_the_plain_scan_at_q4(k, data):
+    # At q = 4 the lattice lines (*head, t, rest - t) have a two-entry head.
+    fam = draw_family(data, 4, k)
+    assert rho_product_lower(fam, Fraction(1, 8)) == product_maximin_reference(fam, Fraction(1, 8))
+
+
+@pytest.mark.parametrize("q, k, tables", [
+    (3, 1, ((1, 0, 1), (1, 1, 0))),
+    (4, 1, ((1, 1, 0, 1), (1, 0, 1, 0))),
+    (4, 2, (
+        (1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+        (1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1),
+        (1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    )),
+])
+def test_rho_product_lower_scores_the_short_lines(q, k, tables):
+    # Each family reaches 1 only at the corner (N, 0, ..., 0), on the last
+    # lattice line, whose rest = 0 is below k; the ascent cannot climb there
+    # from the best point off that line.
+    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    assert rho_product_lower(fam, Fraction(1, 8)) == 1 == product_maximin_reference(
+        fam, Fraction(1, 8)
+    )
 
 
 def test_rho_product_lower_rejects_bad_precision():
