@@ -8,18 +8,20 @@ simplex on a fraction-free tableau (integer-preserving pivoting: each row is
 Python ints over one positive denominator) using Bland's anti-cycling rule
 (lowest eligible index enters; ratio ties break toward the lowest basic
 index), which makes every run terminating and deterministic.  Nothing is
-returned unverified:
+returned unverified: every answer passes one of two exact rules that read
+only the problem's data, in `Fraction` arithmetic over the nonzeros of each
+row.  The primal rule (`_check_primal`) checks x >= 0 and A x = rhs; the
+dual rule (`_check_dual`) checks objective_j <= y.A_j for every column j and
+y.b = value.
 
-  * optimal    -- the primal is re-checked against A x = b, x >= 0, c.x = value,
-                  and a dual vector read off the final tableau certifies
-                  optimality (c_j <= y.A_j columnwise, y.b = value);
-  * infeasible -- comes with an exact Farkas vector y satisfying
-                  y.A >= 0 componentwise and y.b < 0;
-  * unbounded  -- comes with an exact improving ray r satisfying
-                  A r = 0, r >= 0, c.r > 0.
-
-The checks run in `Fraction` arithmetic on the problem's own data, not on
-the tableau.
+  * optimal    -- the point passes the primal rule with rhs = b and has
+                  c.x = value; the dual vector read off the final tableau
+                  passes the dual rule with objective c;
+  * infeasible -- the Farkas vector y passes the dual rule with objective 0
+                  and the phase-one optimum (< 0) as its value, so y.A >= 0
+                  and y.b < 0;
+  * unbounded  -- the improving ray r passes the primal rule with rhs = 0
+                  and has c.r > 0.
 """
 
 from __future__ import annotations
@@ -165,8 +167,8 @@ class _Tableau:
     form.  Scaling a row by a positive number keeps every sign and ratio
     order that Bland's rule reads, so the pivot path is the one an exact
     rational tableau takes.  Rows whose rhs is negative are sign-flipped on
-    entry so the artificial basis is feasible; `signs` remembers the flips
-    for mapping certificates back.
+    entry so the artificial basis is feasible; `signs` remembers the flips,
+    which `dual_vector` undoes.
     """
 
     def __init__(self, problem: LpProblem):
@@ -233,14 +235,15 @@ class _Tableau:
         self.basis[pr] = pc
         self.pivots += 1
 
-    def optimize(self, eligible) -> Optional[int]:
-        """Bland iterations until optimal (returns None) or unbounded
-        (returns the improving column with no positive entries)."""
+    def optimize(self, limit: int) -> Optional[int]:
+        """Bland iterations over the entering columns [0, limit) until optimal
+        (returns None) or unbounded (returns the improving column with no
+        positive entries)."""
         while True:
             pc = None
             reduced = self.reduced
-            for j in range(self.ncols):
-                if eligible[j] and reduced[j] > 0:
+            for j in range(limit):
+                if reduced[j] > 0:
                     pc = j
                     break
             if pc is None:
@@ -260,49 +263,53 @@ class _Tableau:
                 return pc
             self.pivot(pr, pc)
 
-    def dual_vector(self, costs) -> list:
-        """y = c_B B^{-1} for the sign-normalized system, read off the
-        artificial columns (which carry B^{-1} throughout)."""
-        return [
-            costs[self.n + i] - Fraction(self.reduced[self.n + i], self.reduced_den)
-            for i in range(self.m)
-        ]
-
-
-def _column_sums(problem: LpProblem, y) -> list:
-    """y.A_j for every column j, summed over the nonzeros of each row."""
-    columns = [0] * problem.num_variables
-    for yi, row in zip(y, problem.rows):
-        if yi:
-            for j, c in row.items():
-                columns[j] += yi * c
-    return columns
+    def dual_vector(self, costs) -> tuple:
+        """y = c_B B^{-1} of the problem as given: read off the artificial columns
+        (B^{-1} of the sign-normalized system) and unflipped through `signs`."""
+        return tuple([
+            sign * (costs[self.n + i] - Fraction(self.reduced[self.n + i], self.reduced_den))
+            for i, sign in enumerate(self.signs)
+        ])
 
 
 def _dot(coeffs, x):
     return sum(c * v for c, v in zip(coeffs, x) if v)
 
 
-def _row_dots(rows, x) -> list:
-    """row.x for every row, summed over the nonzeros of both."""
-    return [sum(c * x[j] for j, c in row.items() if x[j]) for row in rows]
+def _check_primal(problem: LpProblem, x, rhs, what: str) -> None:
+    """The primal rule: x >= 0 and row.x = rhs for every row, summed over the nonzeros."""
+    if any(v < 0 for v in x):
+        raise InternalError(f"{what} has a negative coordinate")
+    for i, (row, b) in enumerate(zip(problem.rows, rhs)):
+        if sum(c * x[j] for j, c in row.items() if x[j]) != b:
+            raise InternalError(f"{what} violates row {i}")
+
+
+def _check_dual(problem: LpProblem, y, objective, value) -> None:
+    """The dual rule: objective_j <= y.A_j for every column j and y.b = value."""
+    columns = [0] * problem.num_variables
+    for yi, row in zip(y, problem.rows):
+        if yi:
+            for j, c in row.items():
+                columns[j] += yi * c
+    for j, (c, column) in enumerate(zip(objective, columns)):
+        if c > column:
+            raise InternalError(f"dual vector fails objective <= y.A in column {j}")
+    if _dot(problem.rhs, y) != value:
+        raise InternalError("dual vector fails y.b = value")
 
 
 def _phase_one(tab: _Tableau, problem: LpProblem) -> Optional[tuple]:
     """Minimize the artificial sum; None if it reaches zero, else a verified Farkas vector."""
     costs = [0] * tab.n + [-1] * tab.m
     tab.load_costs(costs)
-    if tab.optimize([True] * tab.ncols) is not None:
+    if tab.optimize(tab.ncols) is not None:
         raise InternalError("phase-one objective is bounded above by zero")
-    if tab.objective_value >= 0:
+    value = tab.objective_value
+    if value >= 0:
         return None
-    y_signed = tab.dual_vector(costs)
-    y = tuple([sign * v for sign, v in zip(tab.signs, y_signed)])
-    # Verify against the original data: y.A >= 0 columnwise, y.b < 0.
-    if any(column < 0 for column in _column_sums(problem, y)):
-        raise InternalError("Farkas vector fails y.A >= 0")
-    if _dot(problem.rhs, y) >= 0:
-        raise InternalError("Farkas vector fails y.b < 0")
+    y = tab.dual_vector(costs)
+    _check_dual(problem, y, [0] * tab.n, value)
     return y
 
 
@@ -329,14 +336,6 @@ def _extract_point(tab: _Tableau) -> list:
     return x
 
 
-def _verify_primal(problem: LpProblem, x) -> None:
-    if any(v < 0 for v in x):
-        raise InternalError("primal point has a negative coordinate")
-    for ax, b in zip(_row_dots(problem.rows, x), problem.rhs):
-        if ax != b:
-            raise InternalError("primal point violates an equality constraint")
-
-
 def solve(problem: LpProblem) -> LpSolution:
     """Exact optimum of the problem, with a verified certificate for every status."""
     tab = _Tableau(problem)
@@ -348,8 +347,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     costs2 = list(problem.objective) + [0] * tab.m
     tab.load_costs(costs2)
-    eligible = [True] * tab.n + [False] * tab.m
-    col = tab.optimize(eligible)
+    col = tab.optimize(tab.n)
 
     if col is not None:
         ray = [Fraction(0)] * tab.n
@@ -361,10 +359,7 @@ def solve(problem: LpProblem) -> LpSolution:
             if bj >= tab.n:
                 raise InternalError("improving ray leaks into an artificial variable")
             ray[bj] = Fraction(-a, tab.dens[r])
-        if any(v < 0 for v in ray):
-            raise InternalError("improving ray has a negative coordinate")
-        if any(_row_dots(problem.rows, ray)):
-            raise InternalError("improving ray leaves the null space")
+        _check_primal(problem, ray, [0] * tab.m, "improving ray")
         if _dot(problem.objective, ray) <= 0:
             raise InternalError("improving ray does not improve the objective")
         return LpSolution(
@@ -374,18 +369,11 @@ def solve(problem: LpProblem) -> LpSolution:
         )
 
     x = _extract_point(tab)
-    _verify_primal(problem, x)
+    _check_primal(problem, x, problem.rhs, "primal point")
     value = tab.objective_value
     if _dot(problem.objective, x) != value:
         raise InternalError("objective value disagrees with the primal point")
-    # Dual optimality certificate: c_j <= y.A_j for every column, y.b = value.
-    y_signed = tab.dual_vector(costs2)
-    y = [sign * v for sign, v in zip(tab.signs, y_signed)]
-    for c, column in zip(problem.objective, _column_sums(problem, y)):
-        if c > column:
-            raise InternalError("dual vector fails reduced-cost optimality")
-    if _dot(problem.rhs, y) != value:
-        raise InternalError("dual vector fails strong duality")
+    _check_dual(problem, tab.dual_vector(costs2), problem.objective, value)
     return LpSolution(
         status=OPTIMAL,
         value=value,
@@ -401,5 +389,5 @@ def check_feasible(problem: LpProblem) -> FeasibilityResult:
     if farkas is not None:
         return FeasibilityResult(feasible=False, farkas=farkas)
     x = _extract_point(tab)
-    _verify_primal(problem, x)
+    _check_primal(problem, x, problem.rhs, "feasible point")
     return FeasibilityResult(feasible=True, point=dict(zip(problem.labels, x)))

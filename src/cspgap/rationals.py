@@ -73,4 +73,7 @@ def parse_rational(text: str) -> Fraction:
             f"not a rational: {text!r} (expected 'p/q' or an integer)"
         )
     num, den = match.groups()
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ValueError:  # past Python's digit limit for int(str)
+        raise ValidationError(f"not a rational: too long ({len(text)} characters)") from None

@@ -187,8 +187,7 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
 
     def kernels():
         # the q^q deterministic kernels, then every kernel with rows over denominator 4 (q = 2) or 2
-        unit_rows = tuple(tuple(Fraction(int(i == j)) for j in range(q)) for i in range(q))
-        yield from itertools.product(unit_rows, repeat=q)
+        yield from itertools.product(SymbolKernel.identity(q).rows, repeat=q)
         den = 4 if q == 2 else 2
         lattice = [tuple(Fraction(c, den) for c in counts) for counts in compositions(den, q)]
         yield from itertools.product(lattice, repeat=q)

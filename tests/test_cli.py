@@ -115,6 +115,22 @@ def test_gap_check_rejects_bad_targets(triangle_file, capsys):
     assert main(["gap-check", triangle_file, "--gamma", "1/2", "--beta", "2/3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gap-check", str(DATA / "c5.json"), "--gamma", "1", "--beta", "1/" + "7" * 5000],
+        ["family-stats", str(DATA / "cut_family.json"), "--precision", "1/" + "7" * 5000],
+    ],
+    ids=["gap-check --beta", "family-stats --precision"],
+)
+def test_oversized_rational_flag_is_operational_error(args):
+    # Past Python's digit limit for int(str): one error line, not a traceback.
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: not a rational") and proc.stderr.count("\n") == 1
+
+
 def test_missing_file_is_operational_error(capsys):
     assert main(["lp-solve", "/nonexistent/x.json"]) == 2
 

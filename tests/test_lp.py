@@ -13,6 +13,7 @@ from cspgap import (
     BudgetError,
     Constraint,
     Instance,
+    InternalError,
     LpProblem,
     ValidationError,
     build_basic_lp,
@@ -22,6 +23,7 @@ from cspgap import (
     dump_lp,
     solve,
 )
+from cspgap.lp import _check_dual, _check_primal
 
 
 def lp(objective, rows, rhs):
@@ -137,6 +139,67 @@ def test_check_feasible_both_ways():
     assert feasible and feasible.point == {"v0": Fraction(1)}
     infeasible = check_feasible(lp([0], [[1]], [-1]))
     assert not infeasible and infeasible.farkas is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_check_feasible_agrees_with_solve(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
+    dense = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    objective = data.draw(st.lists(entries, min_size=n, max_size=n))
+    rhs = data.draw(st.lists(entries, min_size=m, max_size=m))
+    problem = lp(objective, dense, rhs)
+    solution, result = solve(problem), check_feasible(problem)
+    assert bool(result) == (solution.status != "infeasible")
+    if result:
+        x = [result.point[label] for label in problem.labels]
+        assert all(v >= 0 for v in x)
+        for row, b in zip(dense_rows(problem), problem.rhs):
+            assert sum(c * v for c, v in zip(row, x)) == b
+    else:
+        assert result.farkas == solution.farkas
+
+
+def test_certificate_rules_accept_the_solver_and_refuse_what_they_must():
+    rng = seeded(307)
+    statuses = []
+    for _ in range(60):
+        problem = random_lp(rng, max_vars=7, max_rows=4)
+        n, m = problem.num_variables, problem.num_rows
+        solution, feasible = solve(problem), check_feasible(problem)
+        statuses.append(solution.status)
+        if solution.status == "infeasible":
+            y = solution.farkas
+            value = sum(yi * b for yi, b in zip(y, problem.rhs))
+            assert value < 0
+            _check_dual(problem, y, [0] * n, value)
+            with pytest.raises(InternalError, match="y.b = value"):
+                _check_dual(problem, y, [0] * n, value + Fraction(1, 7))
+            # y.A itself is the tightest objective the rule accepts.
+            tight = [sum(yi * row[j] for yi, row in zip(y, dense_rows(problem))) for j in range(n)]
+            _check_dual(problem, y, tight, value)
+            j = rng.randrange(n)
+            tight[j] += 1
+            with pytest.raises(InternalError, match=f"column {j}"):
+                _check_dual(problem, y, tight, value)
+            continue
+        if solution.status == "optimal":
+            x, rhs = solution.primal, list(problem.rhs)
+            _check_primal(problem, [feasible.point[v] for v in problem.labels], rhs, "point")
+        else:
+            x, rhs = solution.ray, [0] * m
+        x = [x[label] for label in problem.labels]
+        _check_primal(problem, x, rhs, "point")
+        negative = list(x)
+        negative[rng.randrange(n)] = Fraction(-1)
+        with pytest.raises(InternalError, match="negative coordinate"):
+            _check_primal(problem, negative, rhs, "point")
+        if m:
+            i = rng.randrange(m)
+            rhs[i] += 1
+            with pytest.raises(InternalError, match=f"violates row {i}"):
+                _check_primal(problem, x, rhs, "point")
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
 
 
 def test_oracle_trivial_cases():

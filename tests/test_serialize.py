@@ -49,7 +49,12 @@ def test_rational_parse(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["0.5", "1/0", "1/-2", "x", "", "1 / 2", 5, None, ["1/2"]])
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "1/0", "1/-2", "x", "", "1 / 2", 5, None, ["1/2"],
+     pytest.param("7" * 5000, id="5000-digit integer"),
+     pytest.param("1/" + "7" * 5000, id="5000-digit denominator")],
+)
 def test_rational_parse_rejects(text):
     with pytest.raises(ValidationError):
         parse_rational(text)
