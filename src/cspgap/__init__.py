@@ -75,4 +75,4 @@ from .witnesses import (
     yes_value,
 )
 
-__version__ = "0.1.0"
+from .search import TOOLKIT_VERSION as __version__  # certificates record it too

@@ -205,9 +205,13 @@ class GapReport:
 
 
 def gap_report(inst: Instance, assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> GapReport:
-    """Pair the relaxation optimum with the brute-force optimum."""
-    sol = solve_basic_lp(inst)
+    """Pair the relaxation optimum with the brute-force optimum.
+
+    The assignment budget is checked first, so an instance over it raises
+    `BudgetError` before its relaxation is built.
+    """
     best, witness = brute_force_opt(inst, budget=assignment_budget)
+    sol = solve_basic_lp(inst)
     return GapReport(inst, sol.value, best, witness, sol)
 
 

@@ -83,7 +83,10 @@ class Predicate:
         return rank
 
     def tuple_of(self, rank: int) -> tuple:
-        """Inverse of index_of."""
+        """Inverse of index_of; a rank outside [0, q^k) raises, never aliases."""
+        rank = as_int(rank, "tuple rank")
+        if not 0 <= rank < len(self.table):
+            raise ValidationError(f"rank {rank} is not in [0, q^k), q^k = {len(self.table)}")
         digits = []
         for _ in range(self.k):
             rank, d = divmod(rank, self.q)

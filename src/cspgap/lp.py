@@ -4,15 +4,16 @@ Problems are "maximize c.x subject to A x = b, x >= 0" with every entry an
 exact rational; c is dense and each row of A is a read-only {column:
 coefficient} map of its nonzeros, the one form that the tableau set-up, the
 certificate checks and `dump_lp` read.  The solver is a two-phase primal
-simplex on a fraction-free tableau (integer-preserving pivoting: each row is
-Python ints over one positive denominator) using Bland's anti-cycling rule
-(lowest eligible index enters; ratio ties break toward the lowest basic
-index), which makes every run terminating and deterministic.  Nothing is
-returned unverified: every answer passes one of two exact rules that read
-only the problem's data, in `Fraction` arithmetic over the nonzeros of each
-row.  The primal rule (`_check_primal`) checks x >= 0 and A x = rhs; the
-dual rule (`_check_dual`) checks objective_j <= y.A_j for every column j and
-y.b = value.
+simplex on a fraction-free tableau (integer-preserving pivoting: each row,
+the reduced-cost row last among them, is Python ints over one positive
+denominator) using Bland's anti-cycling rule (lowest eligible index enters;
+ratio ties break toward the lowest basic index), which makes every run
+terminating and deterministic; one reader of the basic columns gives both
+the point and the ray.  Nothing is returned unverified: every answer passes
+one of two exact rules that read only the problem's data, in `Fraction`
+arithmetic over the nonzeros of each row.  The primal rule (`_check_primal`)
+checks x >= 0 and A x = rhs; the dual rule (`_check_dual`) checks
+objective_j <= y.A_j for every column j and y.b = value.
 
   * optimal    -- the point passes the primal rule with rhs = b and has
                   c.x = value; the dual vector read off the final tableau
@@ -162,13 +163,14 @@ class _Tableau:
     Columns are the n problem variables followed by one artificial variable
     per row; the final column is the right-hand side.  Row r stands for
     `rows[r] / dens[r]`: a list of Python ints over one positive denominator,
-    kept in lowest terms, so the basic entry of each row equals its
-    denominator.  The reduced-cost row is `reduced / reduced_den` in the same
-    form.  Scaling a row by a positive number keeps every sign and ratio
-    order that Bland's rule reads, so the pivot path is the one an exact
-    rational tableau takes.  Rows whose rhs is negative are sign-flipped on
-    entry so the artificial basis is feasible; `signs` remembers the flips,
-    which `dual_vector` undoes.
+    kept in lowest terms, so the basic entry of each of the m constraint
+    rows equals its denominator.  Row m is the reduced-cost row in the same
+    form; it has no basic column, so a pivot eliminates it like any other
+    row and the ratio test scans rows 0..m-1 only.  Scaling a row by a
+    positive number keeps every sign and ratio order that Bland's rule reads,
+    so the pivot path is the one an exact rational tableau takes.  Rows whose
+    rhs is negative are sign-flipped on entry so the artificial basis is
+    feasible; `signs` remembers the flips, which `dual_vector` undoes.
     """
 
     def __init__(self, problem: LpProblem):
@@ -189,13 +191,13 @@ class _Tableau:
             self.signs.append(sign)
             self.rows.append(row)
             self.dens.append(den)
+        self.rows.append([0] * (self.ncols + 1))  # costs arrive with load_costs
+        self.dens.append(1)
         self.basis = [self.n + i for i in range(self.m)]
-        self.reduced = []
-        self.reduced_den = 1
         self.pivots = 0
 
     def load_costs(self, costs):
-        """Install a cost row and eliminate the current basic columns."""
+        """Install a cost row as row m and eliminate the current basic columns."""
         reduced, den = _over_lcd(costs)
         reduced.append(0)
         for r, bj in enumerate(self.basis):
@@ -204,11 +206,11 @@ class _Tableau:
                 row = self.rows[r]
                 support = [j for j, v in enumerate(row) if v]
                 reduced, den = _eliminate(reduced, den, f, row, self.dens[r], support)
-        self.reduced, self.reduced_den = reduced, den
+        self.rows[self.m], self.dens[self.m] = reduced, den
 
     @property
     def objective_value(self) -> Fraction:
-        return Fraction(-self.reduced[-1], self.reduced_den)
+        return Fraction(-self.rows[self.m][-1], self.dens[self.m])
 
     def pivot(self, pr: int, pc: int):
         row = self.rows[pr]
@@ -227,11 +229,6 @@ class _Tableau:
                 self.rows[i], self.dens[i] = _eliminate(
                     other, self.dens[i], f, row, a, support
                 )
-        f = self.reduced[pc]
-        if f:
-            self.reduced, self.reduced_den = _eliminate(
-                self.reduced, self.reduced_den, f, row, a, support
-            )
         self.basis[pr] = pc
         self.pivots += 1
 
@@ -241,7 +238,7 @@ class _Tableau:
         positive entries)."""
         while True:
             pc = None
-            reduced = self.reduced
+            reduced = self.rows[self.m]
             for j in range(limit):
                 if reduced[j] > 0:
                     pc = j
@@ -251,7 +248,7 @@ class _Tableau:
             # Ratio rhs_i / a_i compared by cross-multiplying; the row
             # denominators cancel.
             pr = None
-            for i, row in enumerate(self.rows):
+            for i, row in zip(range(self.m), self.rows):
                 a = row[pc]
                 if a > 0:
                     if pr is not None:
@@ -266,8 +263,9 @@ class _Tableau:
     def dual_vector(self, costs) -> tuple:
         """y = c_B B^{-1} of the problem as given: read off the artificial columns
         (B^{-1} of the sign-normalized system) and unflipped through `signs`."""
+        reduced, den = self.rows[self.m], self.dens[self.m]
         return tuple([
-            sign * (costs[self.n + i] - Fraction(self.reduced[self.n + i], self.reduced_den))
+            sign * (costs[self.n + i] - Fraction(reduced[self.n + i], den))
             for i, sign in enumerate(self.signs)
         ])
 
@@ -326,14 +324,20 @@ def _drive_out_artificials(tab: _Tableau):
                     break
 
 
-def _extract_point(tab: _Tableau) -> list:
-    x = [Fraction(0)] * tab.n
+def _basic_column(tab: _Tableau, j: int, what: str) -> list:
+    """Column j of B^{-1}[A | b] over the problem variables, as Fractions.
+
+    Column `ncols` (the rhs) gives the basic point; an entering column gives
+    the edge direction, negated.  An artificial basic row must be zero there.
+    """
+    column = [Fraction(0)] * tab.n
     for r, bj in enumerate(tab.basis):
-        if bj < tab.n:
-            x[bj] = Fraction(tab.rows[r][-1], tab.dens[r])
-        elif tab.rows[r][-1] != 0:
-            raise InternalError("artificial variable stuck at a nonzero value")
-    return x
+        v = tab.rows[r][j]
+        if v:
+            if bj >= tab.n:
+                raise InternalError(f"{what} leaks into an artificial variable")
+            column[bj] = Fraction(v, tab.dens[r])
+    return column
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -350,15 +354,8 @@ def solve(problem: LpProblem) -> LpSolution:
     col = tab.optimize(tab.n)
 
     if col is not None:
-        ray = [Fraction(0)] * tab.n
+        ray = [-v for v in _basic_column(tab, col, "improving ray")]
         ray[col] = Fraction(1)
-        for r, bj in enumerate(tab.basis):
-            a = tab.rows[r][col]
-            if not a:
-                continue
-            if bj >= tab.n:
-                raise InternalError("improving ray leaks into an artificial variable")
-            ray[bj] = Fraction(-a, tab.dens[r])
         _check_primal(problem, ray, [0] * tab.m, "improving ray")
         if _dot(problem.objective, ray) <= 0:
             raise InternalError("improving ray does not improve the objective")
@@ -368,7 +365,7 @@ def solve(problem: LpProblem) -> LpSolution:
             pivots=tab.pivots,
         )
 
-    x = _extract_point(tab)
+    x = _basic_column(tab, tab.ncols, "primal point")
     _check_primal(problem, x, problem.rhs, "primal point")
     value = tab.objective_value
     if _dot(problem.objective, x) != value:
@@ -388,6 +385,6 @@ def check_feasible(problem: LpProblem) -> FeasibilityResult:
     farkas = _phase_one(tab, problem)
     if farkas is not None:
         return FeasibilityResult(feasible=False, farkas=farkas)
-    x = _extract_point(tab)
+    x = _basic_column(tab, tab.ncols, "feasible point")
     _check_primal(problem, x, problem.rhs, "feasible point")
     return FeasibilityResult(feasible=True, point=dict(zip(problem.labels, x)))

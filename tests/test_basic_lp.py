@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import cycle_instance, dense_rows, random_instance, seeded, single_edge, triangle
+import cspgap.lp
 from cspgap import (
+    BudgetError,
     Constraint,
     Instance,
     Predicate,
@@ -78,6 +80,15 @@ def test_gap_report_values():
     assert (report3.lp_value, report3.csp_value) == (1, Fraction(2, 3))
     edge = gap_report(single_edge())
     assert (edge.lp_value, edge.csp_value) == (1, 1)
+
+
+def test_gap_report_checks_the_assignment_budget_before_the_relaxation(monkeypatch):
+    def no_relaxation(problem):
+        raise AssertionError("the relaxation was solved for an instance over budget")
+
+    monkeypatch.setattr(cspgap.lp, "solve", no_relaxation)
+    with pytest.raises(BudgetError, match="q\\^n = 2097152"):
+        gap_report(cycle_instance(21))  # q = 2, n = 21: one over the default budget of 2^20
 
 
 def test_decode_round_trip_consistency():

@@ -54,6 +54,17 @@ def test_rank_and_digit_codecs_round_trip(data):
     assert digits_to_tuple(text, q) == word
 
 
+@pytest.mark.parametrize(
+    "rank",
+    [4, 5, -1, 1 << 70, 1.0, "1", True, None],
+    ids=["q^k", "q^k+1", "negative", "2^70", "float", "str", "bool", "None"],
+)
+def test_tuple_of_refuses_ranks_outside_the_table(rank):
+    pred = Predicate(2, 2, "p", (0, 1, 1, 0))
+    with pytest.raises(ValidationError):
+        pred.tuple_of(rank)
+
+
 def test_predicate_rejects_bad_tables():
     with pytest.raises(ValidationError):
         Predicate(2, 2, "p", (0, 1, 1))

@@ -2,9 +2,11 @@
 
 from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cspgap.search
 from builders import triangle
 from oracle import vertex_enum_oracle
 from cspgap import (
@@ -160,3 +162,11 @@ def test_every_returned_rational_is_a_fraction():
         witness.locals_[0][(0, 0)] = Fraction(1)
     with pytest.raises(ValidationError):
         to_fraction(0.5)
+
+
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["version"] == cspgap.__version__ == cspgap.search.TOOLKIT_VERSION

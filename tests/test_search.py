@@ -9,6 +9,7 @@ import pytest
 import cspgap.search
 from builders import cycle_instance, triangle
 from cspgap import (
+    BudgetError,
     Constraint,
     Instance,
     PairDistribution,
@@ -287,6 +288,19 @@ def test_verification_downgrades_on_budget():
     assert result.ok and result.downgraded
     assert any(name == "csp_optimum" and "skipped" in detail
                for name, _, detail in result.checks)
+
+
+def test_csp_optimum_clause_takes_the_brute_force_budget_rule(monkeypatch):
+    report = gap_report(cycle_instance(5))
+    cert = build_certificate(report, Fraction(1), Fraction(4, 5))
+
+    def over_budget(inst, budget):
+        raise BudgetError(f"budget is {budget}")
+
+    monkeypatch.setattr(cspgap.search, "brute_force_opt", over_budget)
+    result = verify_certificate(cert, assignment_budget=1 << 20)
+    assert result.ok and result.downgraded
+    assert cspgap.search.CSP_OPTIMUM_SKIPPED in result.checks
 
 
 @pytest.mark.parametrize("other", [
