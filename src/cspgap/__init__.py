@@ -24,6 +24,7 @@ from .core import (
     PredicateWidth,
     WidthReport,
     brute_force_opt,
+    canonical_instance,
     complete_instance,
     constant_one_family,
     csp_value,

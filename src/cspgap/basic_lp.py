@@ -180,6 +180,12 @@ def solve_basic_lp(inst: Instance) -> LocalDistributionSolution:
     return decode_primal(inst, solution.primal, solution.value)
 
 
+def check_value_pair(lp_value: Fraction, csp_value: Fraction) -> None:
+    """Raise InternalError unless 0 <= csp <= lp <= 1, as every instance's optima are."""
+    if not (0 <= csp_value <= lp_value <= 1):
+        raise InternalError(f"impossible value pair (lp={lp_value}, csp={csp_value})")
+
+
 @dataclass(frozen=True)
 class GapReport:
     """Exact relaxed and integral optima of one instance, with witnesses."""
@@ -191,10 +197,7 @@ class GapReport:
     lp_witness: LocalDistributionSolution
 
     def __post_init__(self):
-        if not (0 <= self.csp_value <= self.lp_value <= 1):
-            raise InternalError(
-                f"impossible value pair (lp={self.lp_value}, csp={self.csp_value})"
-            )
+        check_value_pair(self.lp_value, self.csp_value)
 
     def is_gap(self, gamma, beta) -> bool:
         return self.lp_value >= to_fraction(gamma) and self.csp_value <= to_fraction(beta)

@@ -253,9 +253,8 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, thr
     q, n = inst.family.q, inst.n
     space = q**n
     if space > budget:
-        raise BudgetError(
-            f"exhaustive search needs q^n = {space} assignments, budget is {budget}"
-        )
+        count = space if space.bit_length() <= 64 else f"{q}^{n}"
+        raise BudgetError(f"exhaustive search needs q^n = {count} assignments, budget is {budget}")
     # (weight, table, 0-based variable indices) per constraint, for the hot loop
     compiled = [
         (c.weight, inst.family[c.predicate].table, tuple(v - 1 for v in c.variables))
@@ -432,6 +431,53 @@ def complete_instance(fam: PredicateFamily, n: int) -> Instance:
     if n < fam.k:
         raise ValidationError(f"need n >= k = {fam.k}, got {n}")
     return Instance(fam, n, constraint_universe(fam, n))
+
+
+# Most labelings `canonical_instance` compares; above it an instance keeps
+# its own labels.
+CANONICAL_LABELINGS = 720
+
+
+def canonical_instance(inst: Instance) -> Instance:
+    """One representative of the instances that share inst's lp and csp values.
+
+    Constraints on the same (predicate, scope) merge into one that carries
+    their summed weight, and all weights are divided by their gcd: both
+    optima weigh a constraint by its share of the total weight, so neither
+    step changes them.  The variables are then relabeled to give the least
+    sorted constraint list among the labelings that list them by increasing
+    signature, the sorted (predicate, position, weight) triples of their
+    constraints, which no relabeling changes; variables in no constraint
+    take no part.  Relabeled and reordered copies of an instance so get one
+    canonical form.  When more than CANONICAL_LABELINGS labelings qualify,
+    the merged instance keeps its own labels: the values are still the same,
+    but fewer relabelings share the form.
+    """
+    merged = {}
+    for c in inst.constraints:
+        merged[c.predicate, c.variables] = merged.get((c.predicate, c.variables), 0) + c.weight
+    divisor = math.gcd(*merged.values())
+    triples = [(name, scope, weight // divisor) for (name, scope), weight in merged.items()]
+    signatures = {}
+    for name, scope, weight in triples:
+        for position, v in enumerate(scope):
+            signatures.setdefault(v, []).append((name, position, weight))
+    blocks = {}
+    for v, signature in signatures.items():
+        blocks.setdefault(tuple(sorted(signature)), []).append(v)
+    blocks = [blocks[signature] for signature in sorted(blocks)]
+    if math.prod(math.factorial(len(block)) for block in blocks) > CANONICAL_LABELINGS:
+        labelings = [{v: v for v in signatures}]  # its own labels
+    else:
+        labelings = (
+            dict(zip(itertools.chain.from_iterable(order), itertools.count(1)))
+            for order in itertools.product(*map(itertools.permutations, blocks))
+        )
+    best = min(
+        sorted((name, tuple(label[v] for v in scope), weight) for name, scope, weight in triples)
+        for label in labelings
+    )
+    return Instance(inst.family, inst.n, tuple(itertools.starmap(Constraint, best)))
 
 
 def rho_upper_empirical(

@@ -20,12 +20,19 @@ from fractions import Fraction
 from typing import Optional
 
 from . import serialize
-from .basic_lp import GapReport, LocalDistributionSolution, gap_report, solve_basic_lp
+from .basic_lp import (
+    GapReport,
+    LocalDistributionSolution,
+    check_value_pair,
+    gap_report,
+    solve_basic_lp,
+)
 from .core import (
     DEFAULT_ASSIGNMENT_BUDGET,
     Instance,
     PredicateFamily,
     brute_force_opt,
+    canonical_instance,
     constraint_universe,
     csp_value,
 )
@@ -281,29 +288,46 @@ def search_gap(
     Default semantics: certify the first qualifying instance in stream
     order.  With maximize_gap the whole budget is spent and the qualifying
     instance with the largest lp - csp difference (earliest on ties) is
-    certified.  Instances are evaluated one at a time, in stream order.
+    certified.  Instances are evaluated one at a time, in stream order:
+    brute force first, then the relaxation value, which is solved once per
+    `canonical_instance` class of the call and looked up for every later
+    member of the class.  The chosen instance is evaluated afresh by
+    `gap_report`, whose values must equal the ones it was chosen on.
     """
     no_sup_budget = check_no_sup_budget(no_sup_budget)
+    lp_values = {}  # canonical instance -> relaxation value, for this call only
     evaluated = 0
     qualifying = 0
-    best: Optional[GapReport] = None
+    best = None  # (instance, lp value, csp value)
     for inst in itertools.islice(enumerate_instances(cfg), cfg.budget):
-        report = gap_report(inst)
+        csp, _ = brute_force_opt(inst)
+        key = canonical_instance(inst)
+        if key not in lp_values:
+            lp_values[key] = solve_basic_lp(key).value
+        lp = lp_values[key]
+        check_value_pair(lp, csp)
         evaluated += 1
         if progress is not None and evaluated % 100 == 0:
             progress(evaluated)
-        if not report.is_gap(cfg.gamma, cfg.beta):
+        if not (lp >= cfg.gamma and csp <= cfg.beta):
             continue
         qualifying += 1
         if not maximize_gap:
-            best = report
+            best = (inst, lp, csp)
             break
-        if best is None or report.gap > best.gap:
-            best = report
+        if best is None or lp - csp > best[1] - best[2]:
+            best = (inst, lp, csp)
     if best is None:
         return SearchOutcome(None, evaluated, qualifying)
+    inst, lp, csp = best
+    report = gap_report(inst)
+    if (report.lp_value, report.csp_value) != (lp, csp):
+        raise InternalError(
+            f"fresh values (lp={report.lp_value}, csp={report.csp_value}) of the chosen"
+            f" instance differ from the search's (lp={lp}, csp={csp})"
+        )
     cert = build_certificate(
-        best, cfg.gamma, cfg.beta, seed=cfg.seed, no_sup_budget=no_sup_budget
+        report, cfg.gamma, cfg.beta, seed=cfg.seed, no_sup_budget=no_sup_budget
     )
     return SearchOutcome(cert, evaluated, qualifying)
 

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from builders import run_cli, triangle
 from cspgap import (
+    Constraint,
+    Instance,
     build_certificate,
     certificate_from_dict,
     certificate_to_dict,
@@ -190,12 +192,25 @@ def test_kernel_search_budget_is_checked_before_any_evaluation(
         raise AssertionError("instance evaluated before the budget check")
 
     monkeypatch.setattr("cspgap.basic_lp.gap_report", no_evaluation)
-    monkeypatch.setattr("cspgap.search.gap_report", no_evaluation)
+    for name in ("gap_report", "brute_force_opt", "solve_basic_lp"):
+        monkeypatch.setattr(f"cspgap.search.{name}", no_evaluation)
     targets = ["--gamma", "1/1", "--beta", "2/3", "--no-sup-budget", budget]
     assert main(["gap-check", triangle_file, *targets]) == 2
     assert main(["gap-search", "--family", cut_family_file, "--n-max", "3", *targets]) == 2
     err = capsys.readouterr().err
     assert err.count(f"kernel search budget must be in [1, 10000], got {budget}") == 2
+
+
+def test_assignment_budget_error_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    wide = Instance(cut_family(), 3000, (Constraint("cut", (1, 2)),))
+    path.write_text(canonical_dumps(instance_to_dict(wide)))
+    assert main(["gap-check", str(path), "--gamma", "1", "--beta", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exhaustive search needs q^n = 2^3000 assignments, budget is 1048576\n"
+    )
 
 
 @pytest.mark.parametrize("section", ["locals", "yes_distribution"])

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +21,13 @@ from cspgap import (
     PredicateFamily,
     ValidationError,
     brute_force_opt,
+    canonical_instance,
     complete_instance,
     constant_one_family,
     csp_value,
     cut_family,
     dicut_family,
+    gap_report,
     rho_product_lower,
     rho_upper_empirical,
     width,
@@ -212,6 +216,8 @@ def test_brute_force_budget():
     inst = cycle_instance(5)
     with pytest.raises(BudgetError, match="32"):
         brute_force_opt(inst, budget=31)
+    with pytest.raises(BudgetError, match=r"q\^n = 2\^70 assignments"):
+        brute_force_opt(Instance(inst.family, 70, inst.constraints))
 
 
 def test_brute_force_dominates_random_assignments():
@@ -265,6 +271,91 @@ def test_brute_force_stop_threshold_against_enumeration(data):
         assert value >= threshold
         assert csp_value(inst, witness) == value
         assert witness == min(a for a, v in values.items() if v >= threshold)
+
+
+def same_class_variant(data, inst) -> Instance:
+    """inst with its variables relabeled, its constraints shuffled, some of
+    them split into duplicates that share the weight, and every weight scaled."""
+    order = data.draw(st.permutations(range(1, inst.n + 1)), label="relabeling")
+    scale = data.draw(st.integers(1, 3), label="scale")
+    constraints = []
+    for c in inst.constraints:
+        scope = tuple(order[v - 1] for v in c.variables)
+        weight = c.weight * scale
+        if weight > 1 and data.draw(st.booleans(), label="split"):
+            part = data.draw(st.integers(1, weight - 1), label="part")
+            constraints.append(Constraint(c.predicate, scope, part))
+            weight -= part
+        constraints.append(Constraint(c.predicate, scope, weight))
+    return Instance(inst.family, inst.n, tuple(data.draw(st.permutations(constraints))))
+
+
+def merged_under_own_labels(inst) -> Instance:
+    """Duplicates merged, weights divided by their gcd, constraints sorted."""
+    weights = {}
+    for c in inst.constraints:
+        weights[c.predicate, c.variables] = weights.get((c.predicate, c.variables), 0) + c.weight
+    divisor = math.gcd(*weights.values())
+    return Instance(inst.family, inst.n, tuple(
+        Constraint(name, scope, weight // divisor)
+        for (name, scope), weight in sorted(weights.items())
+    ))
+
+
+def optima(inst) -> tuple:
+    report = gap_report(inst)
+    return report.lp_value, report.csp_value
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canonical_instance_is_an_idempotent_class_invariant(data):
+    inst = data.draw(weighted_instance((2, 3), 5), label="instance")
+    canonical = canonical_instance(inst)
+    assert canonical_instance(same_class_variant(data, inst)) == canonical
+    assert canonical_instance(canonical) == canonical
+    assert (canonical.family, canonical.n) == (inst.family, inst.n)
+    assert len(canonical.constraints) == len({(c.predicate, c.variables) for c in inst.constraints})
+    assert math.gcd(*(c.weight for c in canonical.constraints)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canonical_instance_keeps_both_optima(data):
+    inst = same_class_variant(data, data.draw(weighted_instance((2, 3), 4), label="instance"))
+    assert optima(canonical_instance(inst)) == optima(inst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canonical_instance_above_the_labeling_bound_keeps_its_labels(data):
+    inst = same_class_variant(data, data.draw(weighted_instance((2,), 4), label="instance"))
+    with mock.patch.object(core, "CANONICAL_LABELINGS", 0):  # every instance is above it
+        canonical = canonical_instance(inst)
+        assert canonical_instance(canonical) == canonical
+    assert canonical == merged_under_own_labels(inst)
+    assert optima(canonical) == optima(inst)
+
+
+def test_canonical_instance_of_a_long_cycle_keeps_its_labels():
+    # all 7 variables share one signature: 7! labelings, above the bound
+    cycle = cycle_instance(7)
+    doubled = Instance(cycle.family, 7, cycle.constraints[::-1] * 2)
+    assert math.factorial(7) > core.CANONICAL_LABELINGS
+    assert canonical_instance(doubled) == merged_under_own_labels(cycle)
+    assert optima(canonical_instance(doubled)) == optima(cycle) == (1, Fraction(6, 7))
+
+
+def test_canonical_instance_compares_only_signature_ordered_labelings():
+    # a directed 7-path: its 5 inner variables share one signature, so 5!
+    # labelings qualify where all 7! would be above the bound
+    path = [(i, i + 1) for i in range(1, 7)]
+    relabel = dict(zip(range(1, 8), (4, 7, 1, 3, 6, 2, 5)))
+    first, second = (
+        Instance(dicut_family(), 7, tuple(Constraint("dicut", scope) for scope in scopes))
+        for scopes in (path, [(relabel[a], relabel[b]) for a, b in path])
+    )
+    assert canonical_instance(first) == canonical_instance(second) == first
 
 
 def test_product_value_closed_forms():

@@ -37,7 +37,7 @@ from cspgap import (
 )
 from cspgap import core, witnesses
 from cspgap.cli import main
-from cspgap.serialize import canonical_dumps, instance_to_dict
+from cspgap.serialize import canonical_dumps, family_to_dict, instance_to_dict
 
 
 def k4_coloring():
@@ -88,6 +88,18 @@ DIGESTS = {
         "a3007682f1467b4e39203434b8478af2b477e7b3cfecc36ba1df5d1875f421f0",
     "product-lower":
         "383207dc3721e1db351e2863b4bb9c850d123a5e4b1263bf76e764929246ad6b",
+    ("gap-search", "first-hit", "stdout"):
+        "ac7004f81ee32dda9d5bd2e57ec6d22faf4afccb984dc3a9a949fc99bd03a9c3",
+    ("gap-search", "first-hit", "certificate"):
+        "86af9c9d16cf4b4bcbc60eb5974f9c8aa8d495285950c63ee55453ccffc53390",
+    ("gap-search", "maximize-gap", "stdout"):
+        "299ddc6aab659ba94a2e921981a15f4b9849aa1005faff8c79f3803ef5ce2a9e",
+    ("gap-search", "maximize-gap", "certificate"):
+        "838b26bab5d1d7392ac7cf8de43d2c78003b71dfd404cb336bbb191fc5b4770e",
+    ("gap-search", "random", "stdout"):
+        "d07cb3309e8358920cfe767b3996672236134b681d71af4cacd0ba469f35531a",
+    ("gap-search", "random", "certificate"):
+        "8c5d6deb134d0693d6a2675e81daff4e749dc39a574dfd4142375fe8c652a648",
 }
 
 
@@ -269,3 +281,33 @@ def test_rho_product_lower_values():
             value = core.rho_product_lower(fam, precision)
             digest.update(repr((fam.q, fam.k, precision, value)).encode() + b"\n")
     assert digest.hexdigest() == DIGESTS["product-lower"]
+
+
+# (family, flags) per gap-search run; every run spends more than 100
+# evaluations, so the progress lines on stderr are pinned too.
+GAP_SEARCH_RUNS = {
+    "first-hit": (cut_family, ["--gamma", "1", "--beta", "2/3", "--n-min", "4", "--n-max", "5",
+                               "--max-constraints", "4", "--budget", "400"]),
+    "maximize-gap": (dicut_family, ["--gamma", "1/2", "--beta", "2/5", "--n-max", "4",
+                                    "--max-constraints", "4", "--budget", "250",
+                                    "--maximize-gap", "--json", "--seed", "9"]),
+    "random": (cut_family, ["--gamma", "1", "--beta", "4/5", "--n-min", "3", "--n-max", "5",
+                            "--max-constraints", "6", "--budget", "150", "--mode", "random",
+                            "--seed", "5", "--maximize-gap"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GAP_SEARCH_RUNS))
+def test_gap_search_output_and_certificate_bytes(run, tmp_path, monkeypatch):
+    """Exit code, stdout and stderr of one gap-search run, and the certificate it writes."""
+    monkeypatch.chdir(tmp_path)  # the report names the certificate path: keep it relative
+    family, flags = GAP_SEARCH_RUNS[run]
+    with open("family.json", "w", encoding="utf-8") as handle:
+        handle.write(canonical_dumps(family_to_dict(family())))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["gap-search", "--family", "family.json", *flags, "--out", "cert.json"])
+    transcript = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+    assert sha256(transcript.encode()) == DIGESTS[("gap-search", run, "stdout")]
+    with open("cert.json", "rb") as handle:
+        assert sha256(handle.read()) == DIGESTS[("gap-search", run, "certificate")]

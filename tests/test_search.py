@@ -17,6 +17,7 @@ from cspgap import (
     SymbolKernel,
     ValidationError,
     build_certificate,
+    canonical_instance,
     certificate_from_dict,
     certificate_to_dict,
     construct_yes_no,
@@ -207,6 +208,29 @@ def test_search_maximize_gap_scans_budget():
     assert best.evaluated == 400
     gap_of = lambda c: c.lp_value - c.csp_value
     assert gap_of(best.certificate) >= gap_of(first.certificate)
+
+
+@pytest.mark.parametrize("maximize_gap", [False, True], ids=["first-hit", "maximize-gap"])
+def test_search_solves_one_relaxation_per_class(maximize_gap, monkeypatch):
+    """One solve per canonical class of the evaluated prefix, and one more
+    inside `gap_report` for the certified instance."""
+    solved = []
+    original = cspgap.basic_lp.solve_basic_lp
+
+    def counting(inst):
+        solved.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(cspgap.search, "solve_basic_lp", counting)
+    monkeypatch.setattr(cspgap.basic_lp, "solve_basic_lp", counting)
+    config = cfg(n_max=4, max_constraints=4, beta=Fraction(3, 4), budget=300)
+    outcome = search_gap(config, maximize_gap=maximize_gap)
+    stream = list(itertools.islice(enumerate_instances(config), outcome.evaluated))
+    classes = {canonical_instance(inst) for inst in stream}
+    assert outcome.found and len(classes) < len(stream)
+    assert len(solved) == len(classes) + 1
+    assert set(solved[:-1]) == classes
+    assert solved[-1] == outcome.certificate.instance
 
 
 def test_enumerated_strong_family_instances_all_reach_one():
