@@ -15,6 +15,8 @@ from .basic_lp import (
     lp_from_width,
     point_mass_solution,
     solve_basic_lp,
+    unit_dual,
+    unit_optimum,
 )
 from .core import (
     Constraint,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from . import lp
@@ -76,33 +77,41 @@ class LocalDistributionSolution:
             raise ValidationError("one local distribution required per constraint")
         if len(marginals) != inst.n:
             raise ValidationError("one marginal distribution required per variable")
+        # Every mass as an integer over one denominator: the masses' lcm.
+        den = lcm(
+            *[v.denominator for marg in marginals for v in marg],
+            *[v.denominator for masses in locals_ for v in masses.values()],
+        )
+        int_marginals = []
         for i, marg in enumerate(marginals):
             if len(marg) != q:
                 raise ValidationError(f"marginal of variable {i + 1} has wrong length")
             if any(v < 0 for v in marg):
                 raise ValidationError(f"marginal of variable {i + 1} has a negative entry")
-            if sum(marg) != 1:
+            int_marg = [v.numerator * (den // v.denominator) for v in marg]
+            if sum(int_marg) != den:
                 raise ValidationError(f"marginal of variable {i + 1} does not sum to 1")
-        objective = Fraction(0)
-        weight_total = inst.total_weight
+            int_marginals.append(int_marg)
+        satisfied = 0  # sum of weight * satisfying mass, over den
         for ci, constraint in enumerate(inst.constraints):
-            masses = locals_[ci]
+            masses = {a: v.numerator * (den // v.denominator) for a, v in locals_[ci].items()}
             if any(v < 0 for v in masses.values()):
                 raise ValidationError(f"local distribution {ci} has a negative entry")
-            if sum(masses.values()) != 1:
+            if sum(masses.values()) != den:
                 raise ValidationError(f"local distribution {ci} does not sum to 1")
-            rows = positional_marginals(masses.items(), q, k)
+            rows = positional_marginals(masses.items(), q, k, zero=0)
             for pos, variable in enumerate(constraint.variables):
                 for symbol in range(q):
-                    if rows[pos][symbol] != marginals[variable - 1][symbol]:
+                    if rows[pos][symbol] != int_marginals[variable - 1][symbol]:
                         raise ValidationError(
                             f"constraint {ci} position {pos} disagrees with the"
                             f" marginal of variable {variable} at symbol {symbol}"
                         )
             pred = inst.family[constraint.predicate]
-            satisfied = sum(mass for a, mass in masses.items() if pred.value(a))
-            objective += Fraction(constraint.weight, weight_total) * satisfied
-        if objective != self.value:
+            satisfied += constraint.weight * sum(v for a, v in masses.items() if pred.value(a))
+        value_num, value_den = self.value.as_integer_ratio()
+        if satisfied * value_den != value_num * inst.total_weight * den:
+            objective = Fraction(satisfied, inst.total_weight * den)
             raise ValidationError(
                 f"stated objective {self.value} differs from recomputed {objective}"
             )
@@ -178,6 +187,42 @@ def solve_basic_lp(inst: Instance) -> LocalDistributionSolution:
             f"relaxation reported {solution.status}; it is a nonempty polytope"
         )
     return decode_primal(inst, solution.primal, solution.value)
+
+
+def unit_dual(inst: Instance) -> tuple:
+    """A dual vector of value 1 for `build_basic_lp(inst)`, in its row order.
+
+    Every constraint puts its weight share w on the q rows of its first
+    position and on the simplex row of that position's variable.  Then
+    y.b = the sum of the shares = 1.  A local column y[C,a] has a 1 in one
+    first-position row of C, so y.A_j = w, at least its objective entry (w or
+    0); a marginal column x[i,b] gets w from the simplex row of i and -w from
+    the first-position row of symbol b of each constraint whose first
+    variable is i, so y.A_j = 0, its objective entry.
+    """
+    q, k, n = inst.family.q, inst.family.k, inst.n
+    y = [Fraction(0)] * (n + inst.m * k * q)
+    weight_total = inst.total_weight
+    for ci, constraint in enumerate(inst.constraints):
+        share = Fraction(constraint.weight, weight_total)
+        y[constraint.variables[0] - 1] += share
+        start = n + ci * k * q  # rows of (constraint ci, position 0, symbol 0..q-1)
+        y[start:start + q] = [share] * q
+    return tuple(y)
+
+
+def unit_optimum(solution: LocalDistributionSolution) -> Fraction:
+    """The relaxation optimum 1 of `solution.instance`, proved with no simplex run.
+
+    The solution is verified and has value 1, so lp >= 1; `unit_dual` passes
+    the dual rule of `lp` against `build_basic_lp` with value 1, so lp <= 1.
+    """
+    if solution.value != 1:
+        raise ValidationError(f"a unit-value proof needs a solution of value 1, not {solution.value}")
+    inst = solution.instance
+    problem = build_basic_lp(inst)
+    lp._check_dual(problem, unit_dual(inst), problem.objective, 1)
+    return solution.value
 
 
 def check_value_pair(lp_value: Fraction, csp_value: Fraction) -> None:

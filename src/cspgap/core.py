@@ -27,6 +27,10 @@ from .rationals import as_int, int_tuple, to_fraction
 # Ceiling on q**n for exhaustive assignment enumeration.
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
+# Ceiling on the lattice lines `rho_product_lower` scans: q = 4 at the
+# default precision 1/64 (denominator 256) has 33153 of them.
+LATTICE_LINE_BUDGET = 1 << 17
+
 # Symbols of [q] as written in files and LP labels; bounds q from above.
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -297,10 +301,11 @@ def product_mass(tuples, factors, scale=1):
     return total
 
 
-def positional_marginals(pairs, q: int, k: int) -> tuple:
+def positional_marginals(pairs, q: int, k: int, zero=Fraction(0)) -> tuple:
     """The one positional-marginal rule: rows[pos][symbol] is the mass of the
-    (tuple, mass) pairs whose tuple has `symbol` at position `pos`."""
-    rows = [[Fraction(0)] * q for _ in range(k)]
+    (tuple, mass) pairs whose tuple has `symbol` at position `pos`, starting
+    from `zero` (0 for integer masses)."""
+    rows = [[zero] * q for _ in range(k)]
     for values, mass in pairs:
         for row, symbol in zip(rows, values):
             row[symbol] += mass
@@ -343,7 +348,9 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     t.  A line's first maximal minimum replaces the best only on strict
     improvement, so the chosen point is the first maximizer of the plain
     point-by-point scan.  The ascent scores single points and stops at the
-    first predicate whose mass is no greater than the best.
+    first predicate whose mass is no greater than the best.  The grid has
+    C(N + q - 2, q - 2) lines; above `LATTICE_LINE_BUDGET` of them the scan
+    is refused with `BudgetError` before it starts.
     """
     precision = to_fraction(precision)
     if precision <= 0:
@@ -352,6 +359,12 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     denominator = 64
     while Fraction(k * q, 2 * denominator) > precision:
         denominator *= 2
+    if math.comb(denominator + q - 2, q - 2) > LATTICE_LINE_BUDGET:
+        raise BudgetError(
+            f"the q = {q} product lattice at denominator {denominator} has"
+            f" C({denominator + q - 2}, {q - 2}) lines, budget is {LATTICE_LINE_BUDGET};"
+            " use a coarser --precision"
+        )
 
     sat = [p.satisfying_tuples() for p in fam.predicates]
 

@@ -10,10 +10,13 @@ denominator) using Bland's anti-cycling rule (lowest eligible index enters;
 ratio ties break toward the lowest basic index), which makes every run
 terminating and deterministic; one reader of the basic columns gives both
 the point and the ray.  Nothing is returned unverified: every answer passes
-one of two exact rules that read only the problem's data, in `Fraction`
-arithmetic over the nonzeros of each row.  The primal rule (`_check_primal`)
-checks x >= 0 and A x = rhs; the dual rule (`_check_dual`) checks
-objective_j <= y.A_j for every column j and y.b = value.
+one of two exact rules that read only the problem's data, in integers: each
+row is kept once more as its nonzeros' numerators over their least common
+denominator (`LpProblem.int_rows`), and the vectors a rule reads are put
+over theirs once per check, so no `Fraction` is built per nonzero.  The
+primal rule (`_check_primal`) checks x >= 0 and A x = rhs; the dual rule
+(`_check_dual`) checks objective_j <= y.A_j for every column j and
+y.b = value.  Only returned values are `Fraction`s.
 
   * optimal    -- the point passes the primal rule with rhs = b and has
                   c.x = value; the dual vector read off the final tableau
@@ -27,9 +30,10 @@ objective_j <= y.A_j for every column j and y.b = value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Optional
 
@@ -47,13 +51,18 @@ class LpProblem:
 
     `objective` is dense, one entry per distinct `str` label.  Each row is a
     {column: coefficient} mapping over columns in [0, n), stored as a
-    read-only map of its nonzero `Fraction`s in column order.
+    read-only map of its nonzero `Fraction`s in column order.  The tableau
+    set-up and the certificate checks read each row once more in integer
+    form, `int_rows[i] = (columns, numerators, denominator)`: its nonzeros
+    over their least common denominator.
     """
 
     objective: tuple
     rows: tuple
     rhs: tuple
     labels: tuple
+    # built once from `rows`; not part of repr, equality or hash
+    int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Built from lists: tuple(map(...)) grows a 10-slot tuple by resizing,
@@ -69,19 +78,24 @@ class LpProblem:
         if len(set(labels)) != n:
             raise ValidationError("variable labels must be unique")
         rows = []
+        int_rows = []
         for i, row in enumerate(self.rows):
             items = mapping_items(row, f"row {i}")
             columns = int_tuple([j for j, _ in items], f"row {i} columns")
             if not all(0 <= j < n for j in columns):
                 raise ValidationError(f"row {i} has a column outside [0, {n}): {columns}")
             entries = sorted(zip(columns, [to_fraction(c) for _, c in items]))
-            rows.append(MappingProxyType({j: c for j, c in entries if c}))
+            row = {j: c for j, c in entries if c}
+            rows.append(MappingProxyType(row))
+            numerators, den = _over_lcd(row.values())
+            int_rows.append((tuple(row), tuple(numerators), den))
         if len(rhs) != len(rows):
             raise ValidationError(
                 f"{len(rows)} constraint rows but {len(rhs)} right-hand sides"
             )
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "int_rows", tuple(int_rows))
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "labels", labels)
 
@@ -180,14 +194,19 @@ class _Tableau:
         self.signs = []
         self.rows = []
         self.dens = []
-        for i, (coeffs, b) in enumerate(zip(problem.rows, problem.rhs)):
-            nums, den = _over_lcd([*coeffs.values(), b])
-            sign = 1 if nums[-1] >= 0 else -1
+        for i, ((columns, numerators, row_den), b) in enumerate(
+            zip(problem.int_rows, problem.rhs)
+        ):
+            # [row | b] over the least common denominator of all its entries
+            b_num, b_den = b.as_integer_ratio()
+            den = lcm(row_den, b_den)
+            sign = 1 if b_num >= 0 else -1
+            scale = sign * (den // row_den)
             row = [0] * (self.ncols + 1)
-            for j, v in zip(coeffs, nums):
-                row[j] = sign * v
+            for j, v in zip(columns, numerators):
+                row[j] = scale * v
             row[self.n + i] = den
-            row[-1] = sign * nums[-1]
+            row[-1] = sign * b_num * (den // b_den)
             self.signs.append(sign)
             self.rows.append(row)
             self.dens.append(den)
@@ -262,38 +281,62 @@ class _Tableau:
 
     def dual_vector(self, costs) -> tuple:
         """y = c_B B^{-1} of the problem as given: read off the artificial columns
-        (B^{-1} of the sign-normalized system) and unflipped through `signs`."""
+        (B^{-1} of the sign-normalized system), whose costs are integers, and
+        unflipped through `signs`."""
         reduced, den = self.rows[self.m], self.dens[self.m]
         return tuple([
-            sign * (costs[self.n + i] - Fraction(reduced[self.n + i], den))
+            Fraction(sign * (costs[self.n + i] * den - reduced[self.n + i]), den)
             for i, sign in enumerate(self.signs)
         ])
 
 
-def _dot(coeffs, x):
-    return sum(c * v for c, v in zip(coeffs, x) if v)
+def _dot(coeffs, x) -> Fraction:
+    """coeffs.x of two dense vectors, each over its least common denominator."""
+    coeff_nums, coeff_den = _over_lcd(coeffs)
+    x_nums, x_den = _over_lcd(x)
+    return Fraction(sum(map(mul, coeff_nums, x_nums)), coeff_den * x_den)
 
 
 def _check_primal(problem: LpProblem, x, rhs, what: str) -> None:
-    """The primal rule: x >= 0 and row.x = rhs for every row, summed over the nonzeros."""
-    if any(v < 0 for v in x):
+    """The primal rule: x >= 0 and row.x = rhs for every row.
+
+    In integers: x and rhs each over its least common denominator, each row
+    in its `int_rows` form.
+    """
+    x_nums, x_den = _over_lcd(x)
+    if any(v < 0 for v in x_nums):
         raise InternalError(f"{what} has a negative coordinate")
-    for i, (row, b) in enumerate(zip(problem.rows, rhs)):
-        if sum(c * x[j] for j, c in row.items() if x[j]) != b:
+    rhs_nums, rhs_den = _over_lcd(rhs)
+    for i, ((columns, numerators, den), b) in enumerate(zip(problem.int_rows, rhs_nums)):
+        # numerators.x_nums / (den * x_den) = b / rhs_den
+        dot = sum(map(mul, numerators, map(x_nums.__getitem__, columns)))
+        if dot * rhs_den != b * den * x_den:
             raise InternalError(f"{what} violates row {i}")
 
 
 def _check_dual(problem: LpProblem, y, objective, value) -> None:
-    """The dual rule: objective_j <= y.A_j for every column j and y.b = value."""
+    """The dual rule: objective_j <= y.A_j for every column j and y.b = value.
+
+    In integers: y, the objective and the rhs each over its least common
+    denominator, y.A over y's times that of every row's `int_rows` form.
+    """
+    y_nums, y_den = _over_lcd(y)
+    rows_den = lcm(*[den for _, _, den in problem.int_rows])
     columns = [0] * problem.num_variables
-    for yi, row in zip(y, problem.rows):
+    for yi, (row_columns, numerators, den) in zip(y_nums, problem.int_rows):
         if yi:
-            for j, c in row.items():
-                columns[j] += yi * c
-    for j, (c, column) in enumerate(zip(objective, columns)):
-        if c > column:
+            f = yi * (rows_den // den)
+            for j, v in zip(row_columns, numerators):
+                columns[j] += f * v
+    c_nums, c_den = _over_lcd(objective)
+    # c / c_den <= column / (y_den * rows_den)
+    scale = y_den * rows_den
+    for j, (c, column) in enumerate(zip(c_nums, columns)):
+        if c * scale > column * c_den:
             raise InternalError(f"dual vector fails objective <= y.A in column {j}")
-    if _dot(problem.rhs, y) != value:
+    rhs_nums, rhs_den = _over_lcd(problem.rhs)
+    value_num, value_den = value.as_integer_ratio()
+    if sum(map(mul, y_nums, rhs_nums)) * value_den != value_num * y_den * rhs_den:
         raise InternalError("dual vector fails y.b = value")
 
 

@@ -25,7 +25,9 @@ from .basic_lp import (
     LocalDistributionSolution,
     check_value_pair,
     gap_report,
+    point_mass_solution,
     solve_basic_lp,
+    unit_optimum,
 )
 from .core import (
     DEFAULT_ASSIGNMENT_BUDGET,
@@ -289,9 +291,11 @@ def search_gap(
     order.  With maximize_gap the whole budget is spent and the qualifying
     instance with the largest lp - csp difference (earliest on ties) is
     certified.  Instances are evaluated one at a time, in stream order:
-    brute force first, then the relaxation value, which is solved once per
+    brute force first, then the relaxation value, which is found once per
     `canonical_instance` class of the call and looked up for every later
-    member of the class.  The chosen instance is evaluated afresh by
+    member of the class.  A class at csp = 1 runs no simplex: its first
+    member's satisfying assignment and `unit_optimum` prove lp = 1; any
+    other class is solved.  The chosen instance is evaluated afresh by
     `gap_report`, whose values must equal the ones it was chosen on.
     """
     no_sup_budget = check_no_sup_budget(no_sup_budget)
@@ -300,10 +304,13 @@ def search_gap(
     qualifying = 0
     best = None  # (instance, lp value, csp value)
     for inst in itertools.islice(enumerate_instances(cfg), cfg.budget):
-        csp, _ = brute_force_opt(inst)
+        csp, assignment = brute_force_opt(inst)
         key = canonical_instance(inst)
         if key not in lp_values:
-            lp_values[key] = solve_basic_lp(key).value
+            if csp == 1:  # the satisfying assignment and the unit dual prove lp = 1
+                lp_values[key] = unit_optimum(point_mass_solution(inst, assignment))
+            else:
+                lp_values[key] = solve_basic_lp(key).value
         lp = lp_values[key]
         check_value_pair(lp, csp)
         evaluated += 1
@@ -368,12 +375,13 @@ def _clauses(cert: GapCertificate, assignment_budget: int):
         cert.solution.value == cert.lp_value,
         f"solution objective {cert.solution.value}, stated {cert.lp_value}",
     )
-    resolved = solve_basic_lp(cert.instance)
-    yield (
-        "lp_optimum",
-        resolved.value == cert.lp_value,
-        f"fresh optimum {resolved.value}, stated {cert.lp_value}",
-    )
+    # A verified solution of value 1 is optimal by the unit dual; any other
+    # value is re-derived by a fresh solve.
+    if cert.solution.value == 1:
+        fresh = unit_optimum(cert.solution)
+    else:
+        fresh = solve_basic_lp(cert.instance).value
+    yield "lp_optimum", fresh == cert.lp_value, f"fresh optimum {fresh}, stated {cert.lp_value}"
     try:
         witness_value = csp_value(cert.instance, cert.csp_witness)
         detail = f"witness value {witness_value}, stated {cert.csp_value}"

@@ -13,6 +13,7 @@ from cspgap import (
     BudgetError,
     Constraint,
     Instance,
+    InternalError,
     Predicate,
     PredicateFamily,
     ValidationError,
@@ -28,9 +29,12 @@ from cspgap import (
     onewise_support,
     point_mass_solution,
     solve_basic_lp,
+    unit_dual,
+    unit_optimum,
 )
 from cspgap.basic_lp import LocalDistributionSolution, decode_primal
 from cspgap.core import digits_to_tuple
+from cspgap.lp import _check_dual as check_dual
 from cspgap.serialize import solution_from_dict, solution_to_dict
 
 
@@ -243,21 +247,22 @@ def test_solution_reads_numpy_integer_marginals_as_ints():
 
 
 @st.composite
-def small_instance(draw, shapes):
+def small_instance(draw, shapes, n_max=4, max_weight=3):
     """An instance over a (q, k) from `shapes`.
 
-    It has 1-2 random predicates, k <= n <= 4 variables, 1-4 constraints and weights 1-3.
+    It has 1-2 random predicates, k <= n <= n_max variables, 1-4 constraints
+    and weights 1-max_weight.
     """
     q, k = draw(st.sampled_from(shapes))
     table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
     tables = draw(st.lists(table, min_size=1, max_size=2))
     fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
-    n = draw(st.integers(k, 4))
+    n = draw(st.integers(k, n_max))
     constraint = st.builds(
         Constraint,
         st.sampled_from(fam.names),
         st.permutations(range(1, n + 1)).map(lambda order: order[:k]),
-        st.integers(1, 3),
+        st.integers(1, max_weight),
     )
     return Instance(fam, n, tuple(draw(st.lists(constraint, min_size=1, max_size=4))))
 
@@ -365,6 +370,46 @@ def test_solution_checks_agree_with_the_lp_rows(case):
         assert not feasible
     else:
         assert feasible and sol.value == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=small_instance([(q, k) for q in (2, 3) for k in (2, 3)], n_max=5, max_weight=5),
+    data=st.data(),
+)
+def test_unit_dual_passes_the_dual_rule_and_every_entry_counts(inst, data):
+    problem = build_basic_lp(inst)
+    y = unit_dual(inst)
+    assert len(y) == problem.num_rows
+    check_dual(problem, y, problem.objective, 1)
+    # Lower one nonzero entry.  A simplex row (rhs 1) breaks y.b = 1 at any
+    # decrease; a first-position row of constraint C and symbol s meets the
+    # columns y[C,a] with a[0] = s, so a small decrease breaks it exactly when
+    # one of them has a positive objective entry, and a decrease past the
+    # entry itself always does.
+    i = data.draw(st.sampled_from([i for i, v in enumerate(y) if v]))
+    q, k = inst.family.q, inst.family.k
+    if i < inst.n:
+        tight = True
+    else:
+        ci, s = divmod(i - inst.n, k * q)  # position 0: s < q
+        table = inst.family[inst.constraints[ci].predicate].table
+        tight = any(bit for rank, bit in enumerate(table) if rank // q ** (k - 1) == s)
+    for drop, raises in ((Fraction(1, 1000), tight), (y[i] + Fraction(1, 1000), True)):
+        lowered = list(y)
+        lowered[i] -= drop
+        if raises:
+            with pytest.raises(InternalError):
+                check_dual(problem, lowered, problem.objective, 1)
+        else:
+            check_dual(problem, lowered, problem.objective, 1)
+
+
+def test_unit_optimum_needs_a_solution_of_value_1():
+    inst = cycle_instance(5)  # odd cycle: csp 4/5, lp 1
+    assert unit_optimum(lp_from_width(inst)) == 1
+    with pytest.raises(ValidationError, match="value 1"):
+        unit_optimum(point_mass_solution(inst, (0, 1, 0, 1, 0)))
 
 
 def test_lp_from_onewise_cut():

@@ -7,15 +7,19 @@ import pathlib
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cspgap.lp
 from builders import run_cli, triangle
 from cspgap import (
     Constraint,
     Instance,
+    Predicate,
+    PredicateFamily,
     build_certificate,
     certificate_from_dict,
     certificate_to_dict,
@@ -24,6 +28,7 @@ from cspgap import (
     gap_report,
 )
 from cspgap.cli import main
+from cspgap.core import LATTICE_LINE_BUDGET, rho_product_lower
 from cspgap.serialize import (
     canonical_dumps,
     family_to_dict,
@@ -131,6 +136,25 @@ def test_oversized_rational_flag_is_operational_error(args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: not a rational") and proc.stderr.count("\n") == 1
+
+
+def neq_family(q):
+    table = tuple(int(a != b) for a in range(q) for b in range(q))
+    return PredicateFamily((Predicate(q, 2, "neq", table),))
+
+
+def test_family_stats_refuses_a_lattice_over_budget(tmp_path, capsys):
+    # q = 5 at the default precision 1/64 scans C(515, 3) > 22 million lines.
+    path = tmp_path / "neq5.json"
+    path.write_text(canonical_dumps(family_to_dict(neq_family(5))))
+    assert main(["family-stats", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "C(515, 3) lines" in captured.err and "--precision" in captured.err
+    # q = 4 at 1/64 has C(258, 2) = 33153 lines, under the budget.
+    assert comb(258, 2) == 33153 <= LATTICE_LINE_BUDGET
+    assert rho_product_lower(neq_family(4), Fraction(1, 64)) == Fraction(3, 4)
 
 
 def test_missing_file_is_operational_error(capsys):
@@ -403,6 +427,26 @@ def test_gap_search_writes_certificate(cut_family_file, tmp_path):
     assert cert.exists()
     verify = run_cli(["verify-cert", str(cert)])
     assert verify.returncode == 0
+
+
+@pytest.mark.parametrize("instance, beta", [("c5.json", "4/5"), ("triangle.json", "2/3")])
+def test_verify_cert_proves_a_unit_lp_value_without_a_simplex_run(
+    instance, beta, tmp_path, capsys, monkeypatch
+):
+    cert = tmp_path / "cert.json"
+    argv = ["gap-check", str(DATA / instance), "--gamma", "1", "--beta", beta, "--out", str(cert)]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def no_simplex(problem):
+        raise AssertionError("verify-cert ran the simplex on a value-1 certificate")
+
+    monkeypatch.setattr(cspgap.lp, "solve", no_simplex)
+    assert main(["verify-cert", str(cert), "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["lp_optimum"] == {
+        "name": "lp_optimum", "ok": True, "detail": "fresh optimum 1, stated 1",
+    }
 
 
 def test_gap_search_not_found_exit_one(cut_family_file):

@@ -1,5 +1,6 @@
 """Exact LP solver against the vertex-enumeration oracle and its certificates."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -200,6 +201,70 @@ def test_certificate_rules_accept_the_solver_and_refuse_what_they_must():
             with pytest.raises(InternalError, match=f"violates row {i}"):
                 _check_primal(problem, x, rhs, "point")
     assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+
+
+def reference_primal(problem, x, rhs, what):
+    """The primal rule in plain Fraction arithmetic over dense rows: the failure, or None."""
+    if any(v < 0 for v in x):
+        return "negative coordinate"
+    for i, (row, b) in enumerate(zip(dense_rows(problem), rhs)):
+        if sum(Fraction(c) * v for c, v in zip(row, x)) != b:
+            return f"violates row {i}"
+    return None
+
+
+def reference_dual(problem, y, objective, value):
+    """The dual rule in plain Fraction arithmetic over dense rows: the failure, or None."""
+    rows = dense_rows(problem)
+    for j, c in enumerate(objective):
+        if c > sum(Fraction(yi) * row[j] for yi, row in zip(y, rows)):
+            return f"column {j}"
+    if sum(Fraction(yi) * b for yi, b in zip(y, problem.rhs)) != value:
+        return "y.b = value"
+    return None
+
+
+def agree(rule, reference, *args):
+    """`rule` raises exactly when `reference` names a failure, with that failure in its message."""
+    expected = reference(*args)
+    if expected is None:
+        rule(*args)
+    else:
+        with pytest.raises(InternalError, match=re.escape(expected)):
+            rule(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_certificate_rules_agree_with_a_plain_fraction_reference(data):
+    """The integer rules against the Fraction reference, on random LPs with
+    fractional rows and on solver vectors, edited once or not at all."""
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
+    vector = lambda size: st.lists(entries, min_size=size, max_size=size)
+    dense = data.draw(st.lists(vector(n), min_size=m, max_size=m))
+    problem = lp(data.draw(vector(n)), dense, data.draw(vector(m)))
+    solution = solve(problem)
+
+    def edit(values):
+        values = list(values)
+        if values and data.draw(st.booleans()):
+            values[data.draw(st.integers(0, len(values) - 1))] += data.draw(entries)
+        return values
+
+    if solution.status == "optimal":
+        x, rhs = [solution.primal[v] for v in problem.labels], list(problem.rhs)
+    elif solution.status == "unbounded":
+        x, rhs = [solution.ray[v] for v in problem.labels], [0] * m
+    else:
+        x, rhs = data.draw(vector(n)), list(problem.rhs)
+    agree(_check_primal, reference_primal, problem, edit(x), edit(rhs), "point")
+
+    y = list(solution.farkas) if solution.status == "infeasible" else data.draw(vector(m))
+    tight = [sum(Fraction(yi) * row[j] for yi, row in zip(y, dense_rows(problem))) for j in range(n)]
+    value = sum(Fraction(yi) * b for yi, b in zip(y, problem.rhs))
+    objective = [c - data.draw(st.sampled_from([0, 0, Fraction(1, 3), 2])) for c in tight]
+    agree(_check_dual, reference_dual, problem, edit(y), edit(objective), value)
+    agree(_check_dual, reference_dual, problem, y, objective, value + data.draw(entries))
 
 
 def test_oracle_trivial_cases():

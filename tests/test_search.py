@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import cspgap.lp
 import cspgap.search
 from builders import cycle_instance, triangle
 from cspgap import (
@@ -16,6 +17,7 @@ from cspgap import (
     SearchConfig,
     SymbolKernel,
     ValidationError,
+    brute_force_opt,
     build_certificate,
     canonical_instance,
     certificate_from_dict,
@@ -212,25 +214,36 @@ def test_search_maximize_gap_scans_budget():
 
 @pytest.mark.parametrize("maximize_gap", [False, True], ids=["first-hit", "maximize-gap"])
 def test_search_solves_one_relaxation_per_class(maximize_gap, monkeypatch):
-    """One solve per canonical class of the evaluated prefix, and one more
-    inside `gap_report` for the certified instance."""
-    solved = []
-    original = cspgap.basic_lp.solve_basic_lp
+    """One solve per canonical class of the evaluated prefix whose first
+    member has csp < 1, and one more inside `gap_report` for the certified
+    instance; a class at csp = 1 gets one unit-dual proof on its first
+    member's satisfying assignment instead."""
+    solved, proved = [], []
+    original_solve, original_proof = cspgap.basic_lp.solve_basic_lp, cspgap.search.unit_optimum
 
     def counting(inst):
         solved.append(inst)
-        return original(inst)
+        return original_solve(inst)
+
+    def counting_proof(solution):
+        proved.append(solution.instance)
+        return original_proof(solution)
 
     monkeypatch.setattr(cspgap.search, "solve_basic_lp", counting)
     monkeypatch.setattr(cspgap.basic_lp, "solve_basic_lp", counting)
+    monkeypatch.setattr(cspgap.search, "unit_optimum", counting_proof)
     config = cfg(n_max=4, max_constraints=4, beta=Fraction(3, 4), budget=300)
     outcome = search_gap(config, maximize_gap=maximize_gap)
     stream = list(itertools.islice(enumerate_instances(config), outcome.evaluated))
-    classes = {canonical_instance(inst) for inst in stream}
-    assert outcome.found and len(classes) < len(stream)
-    assert len(solved) == len(classes) + 1
-    assert set(solved[:-1]) == classes
+    first = {}  # class -> its first member, in stream order
+    for inst in stream:
+        first.setdefault(canonical_instance(inst), inst)
+    below = [key for key, inst in first.items() if brute_force_opt(inst)[0] < 1]
+    assert outcome.found and len(first) < len(stream)
+    assert below and len(below) < len(first)
+    assert solved[:-1] == below
     assert solved[-1] == outcome.certificate.instance
+    assert proved == [inst for key, inst in first.items() if key not in below]
 
 
 def test_enumerated_strong_family_instances_all_reach_one():
@@ -345,14 +358,24 @@ def test_verification_stops_at_the_first_failed_clause(monkeypatch):
     def no_replay(*args, **kwargs):
         raise AssertionError("the kernel search ran after a failed clause")
 
+    solved = []
+    original_solve = cspgap.lp.solve
+
+    def counting(problem):
+        solved.append(problem)
+        return original_solve(problem)
+
     inst = cycle_instance(5)
     cert = build_certificate(gap_report(inst), Fraction(1), Fraction(4, 5))
     monkeypatch.setattr(cspgap.search, "no_sup_search", no_replay)
+    monkeypatch.setattr(cspgap.lp, "solve", counting)
     # A feasible but suboptimal solution whose value is also the stated lp_value:
     # every clause before lp_optimum holds and lp_optimum fails.
     suboptimal = point_mass_solution(inst, (0, 1, 0, 1, 1))
     cert = replace(cert, solution=suboptimal, lp_value=suboptimal.value)
     result = verify_certificate(cert, assignment_budget=4)  # would skip csp_optimum
     assert result.failure == "lp_optimum" and not result.ok
+    assert len(solved) == 1  # a stated value below 1 is re-derived by the simplex
+    assert result.checks[-1][2] == f"fresh optimum 1, stated {suboptimal.value}"
     assert [name for name, _, _ in result.checks][-2:] == ["solution_objective", "lp_optimum"]
     assert not result.downgraded
