@@ -25,7 +25,6 @@ from .basic_lp import (
     LocalDistributionSolution,
     check_value_pair,
     gap_report,
-    point_mass_solution,
     solve_basic_lp,
     unit_optimum,
 )
@@ -290,12 +289,11 @@ def search_gap(
     Default semantics: certify the first qualifying instance in stream
     order.  With maximize_gap the whole budget is spent and the qualifying
     instance with the largest lp - csp difference (earliest on ties) is
-    certified.  Instances are evaluated one at a time, in stream order:
-    brute force first, then the relaxation value, which is found once per
-    `canonical_instance` class of the call and looked up for every later
-    member of the class.  A class at csp = 1 runs no simplex: its first
-    member's satisfying assignment and `unit_optimum` prove lp = 1; any
-    other class is solved.  The chosen instance is evaluated afresh by
+    certified.  Instances are evaluated one at a time, in stream order, by
+    brute force first.  An instance with csp > beta cannot qualify and
+    gets no relaxation; for any other one the relaxation value is solved
+    once per `canonical_instance` class of the call and looked up for every
+    later member of the class.  The chosen instance is evaluated afresh by
     `gap_report`, whose values must equal the ones it was chosen on.
     """
     no_sup_budget = check_no_sup_budget(no_sup_budget)
@@ -304,19 +302,18 @@ def search_gap(
     qualifying = 0
     best = None  # (instance, lp value, csp value)
     for inst in itertools.islice(enumerate_instances(cfg), cfg.budget):
-        csp, assignment = brute_force_opt(inst)
-        key = canonical_instance(inst)
-        if key not in lp_values:
-            if csp == 1:  # the satisfying assignment and the unit dual prove lp = 1
-                lp_values[key] = unit_optimum(point_mass_solution(inst, assignment))
-            else:
-                lp_values[key] = solve_basic_lp(key).value
-        lp = lp_values[key]
-        check_value_pair(lp, csp)
+        csp, _ = brute_force_opt(inst)
         evaluated += 1
         if progress is not None and evaluated % 100 == 0:
             progress(evaluated)
-        if not (lp >= cfg.gamma and csp <= cfg.beta):
+        if csp > cfg.beta:
+            continue
+        key = canonical_instance(inst)
+        if key not in lp_values:
+            lp_values[key] = solve_basic_lp(key).value
+        lp = lp_values[key]
+        check_value_pair(lp, csp)
+        if lp < cfg.gamma:
             continue
         qualifying += 1
         if not maximize_gap:

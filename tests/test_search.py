@@ -3,9 +3,13 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cspgap.basic_lp
 import cspgap.lp
 import cspgap.search
 from builders import cycle_instance, triangle
@@ -24,6 +28,7 @@ from cspgap import (
     certificate_to_dict,
     construct_yes_no,
     cut_family,
+    dicut_family,
     enumerate_instances,
     gap_report,
     no_sup_search,
@@ -33,11 +38,13 @@ from cspgap import (
     solve_basic_lp,
     verify_certificate,
 )
+from cspgap.cli import main
 from cspgap.rationals import to_fraction
-from cspgap.search import check_targets
+from cspgap.search import EXHAUSTIVE, RANDOM, check_targets
 from cspgap.witnesses import check_no_sup_budget, support_classification
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 C5_REPORT = gap_report(cycle_instance(5))
 C5_NO = construct_yes_no(C5_REPORT.instance, C5_REPORT.lp_witness)[1]
 
@@ -215,35 +222,120 @@ def test_search_maximize_gap_scans_budget():
 @pytest.mark.parametrize("maximize_gap", [False, True], ids=["first-hit", "maximize-gap"])
 def test_search_solves_one_relaxation_per_class(maximize_gap, monkeypatch):
     """One solve per canonical class of the evaluated prefix whose first
-    member has csp < 1, and one more inside `gap_report` for the certified
-    instance; a class at csp = 1 gets one unit-dual proof on its first
-    member's satisfying assignment instead."""
-    solved, proved = [], []
-    original_solve, original_proof = cspgap.basic_lp.solve_basic_lp, cspgap.search.unit_optimum
+    member has csp <= beta, and one more inside `gap_report` for the
+    certified instance; a class above beta cannot qualify and is never
+    solved, and no class is proved by the unit dual."""
+    solved = []
+    original_solve = cspgap.basic_lp.solve_basic_lp
 
     def counting(inst):
         solved.append(inst)
         return original_solve(inst)
 
-    def counting_proof(solution):
-        proved.append(solution.instance)
-        return original_proof(solution)
+    def no_proof(solution):
+        raise AssertionError("gap-search proved a relaxation value by the unit dual")
 
     monkeypatch.setattr(cspgap.search, "solve_basic_lp", counting)
     monkeypatch.setattr(cspgap.basic_lp, "solve_basic_lp", counting)
-    monkeypatch.setattr(cspgap.search, "unit_optimum", counting_proof)
+    monkeypatch.setattr(cspgap.search, "unit_optimum", no_proof)
     config = cfg(n_max=4, max_constraints=4, beta=Fraction(3, 4), budget=300)
     outcome = search_gap(config, maximize_gap=maximize_gap)
     stream = list(itertools.islice(enumerate_instances(config), outcome.evaluated))
     first = {}  # class -> its first member, in stream order
     for inst in stream:
         first.setdefault(canonical_instance(inst), inst)
-    below = [key for key, inst in first.items() if brute_force_opt(inst)[0] < 1]
+    at_most_beta = [key for key, inst in first.items() if brute_force_opt(inst)[0] <= config.beta]
     assert outcome.found and len(first) < len(stream)
-    assert below and len(below) < len(first)
-    assert solved[:-1] == below
+    assert at_most_beta and len(at_most_beta) < len(first)
+    assert solved[:-1] == at_most_beta
     assert solved[-1] == outcome.certificate.instance
-    assert proved == [inst for key, inst in first.items() if key not in below]
+
+
+def reference_search(config, maximize_gap):
+    """The documented search rule over a full `gap_report` of every streamed
+    instance: (evaluated, qualifying, certificate digest or None)."""
+    evaluated = qualifying = 0
+    best = None
+    for inst in itertools.islice(enumerate_instances(config), config.budget):
+        report = gap_report(inst)
+        evaluated += 1
+        if not report.is_gap(config.gamma, config.beta):
+            continue
+        qualifying += 1
+        if best is None or report.gap > best.gap:
+            best = report
+        if not maximize_gap:
+            break
+    if best is None:
+        return evaluated, qualifying, None
+    cert = build_certificate(best, config.gamma, config.beta, seed=config.seed)
+    return evaluated, qualifying, cert.digest
+
+
+TARGETS = [Fraction(p, q) for p, q in ((1, 3), (2, 5), (1, 2), (2, 3), (3, 4), (4, 5))]
+
+
+@st.composite
+def search_configs(draw):
+    beta = draw(st.sampled_from(TARGETS))
+    n_min = draw(st.integers(2, 4))
+    return SearchConfig(
+        family=draw(st.sampled_from([cut_family(), dicut_family()])),
+        n_min=n_min,
+        n_max=draw(st.integers(n_min, 4)),
+        max_constraints=draw(st.integers(1, 3)),
+        gamma=draw(st.sampled_from([g for g in TARGETS + [Fraction(1)] if g > beta])),
+        beta=beta,
+        mode=draw(st.sampled_from([EXHAUSTIVE, RANDOM])),
+        seed=draw(st.integers(0, 1000)),
+        budget=draw(st.integers(1, 40)),
+    )
+
+
+def stream_config(family, mode, beta, gamma, seed=0, n_min=2):
+    return SearchConfig(
+        family=family, n_min=n_min, n_max=4, max_constraints=3,
+        gamma=gamma, beta=beta, mode=mode, seed=seed, budget=40,
+    )
+
+
+# Random draws rarely reach a gap within 40 instances; these streams hold two
+# qualifying instances each, tied on lp - csp.
+@example(stream_config(cut_family(), EXHAUSTIVE, Fraction(4, 5), Fraction(1), n_min=3), True)
+@example(stream_config(cut_family(), EXHAUSTIVE, Fraction(4, 5), Fraction(1), n_min=3), False)
+@example(stream_config(cut_family(), RANDOM, Fraction(2, 3), Fraction(3, 4), seed=1), True)
+@example(stream_config(dicut_family(), RANDOM, Fraction(1, 3), Fraction(1, 2), seed=3), True)
+@settings(max_examples=150, deadline=None)
+@given(config=search_configs(), maximize_gap=st.booleans())
+def test_search_matches_a_full_scan_of_the_stream(config, maximize_gap):
+    outcome = search_gap(config, maximize_gap=maximize_gap)
+    digest = outcome.certificate.digest if outcome.found else None
+    assert (outcome.evaluated, outcome.qualifying, digest) == reference_search(
+        config, maximize_gap
+    )
+
+
+def test_search_that_nothing_can_qualify_solves_no_relaxation(capsys, monkeypatch):
+    # Every nonempty cut instance cuts at least half its weight, so with
+    # beta = 1/3 no instance can qualify and none needs its relaxation.
+    def no_simplex(problem):
+        raise AssertionError("gap-search solved a relaxation that could not qualify")
+
+    monkeypatch.setattr(cspgap.lp, "solve", no_simplex)
+    config = cfg(n_max=4, beta=Fraction(1, 3), budget=250)
+    done = []
+    outcome = search_gap(config, maximize_gap=True, progress=done.append)
+    assert (outcome.evaluated, outcome.qualifying, outcome.found) == (250, 0, False)
+    assert done == [100, 200]
+    argv = [
+        "gap-search", "--family", str(DATA / "cut_family.json"), "--gamma", "1/1",
+        "--beta", "1/3", "--n-max", "4", "--max-constraints", "3", "--budget", "250",
+        "--maximize-gap",
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(
+        "no (1/1, 1/3) gap within budget (250 instances evaluated)\n"
+    )
 
 
 def test_enumerated_strong_family_instances_all_reach_one():
