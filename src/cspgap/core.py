@@ -35,6 +35,11 @@ LATTICE_LINE_BUDGET = 1 << 17
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
+def power_text(q: int, e: int) -> str:
+    """q^e in digits while it fits in 64 bits, else the text "q^e"."""
+    return str(q**e) if e <= 64 and (q**e).bit_length() <= 64 else f"{q}^{e}"
+
+
 def tuple_to_digits(values) -> str:
     return "".join(DIGITS[v] for v in values)
 
@@ -67,10 +72,11 @@ class Predicate:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"predicate name must be a non-empty string, got {self.name!r}")
         table = int_tuple(self.table, f"predicate {self.name!r}: table entries")
-        if len(table) != self.q**self.k:
+        # q^k > len(table) once k exceeds its bit length: no huge power is built
+        if self.k > len(table).bit_length() or len(table) != self.q**self.k:
             raise ValidationError(
                 f"predicate {self.name!r}: table has {len(self.table)} entries,"
-                f" expected q^k = {self.q ** self.k}"
+                f" expected q^k = {power_text(self.q, self.k)}"
             )
         if any(v not in (0, 1) for v in table):
             raise ValidationError(f"predicate {self.name!r}: table entries must be 0 or 1")
@@ -242,6 +248,14 @@ def csp_value(inst: Instance, assignment) -> Fraction:
     return Fraction(satisfied, inst.total_weight)
 
 
+def check_assignment_budget(q: int, n: int, budget: int) -> None:
+    """Raise BudgetError when q^n exceeds the budget, computing only q^min(n, budget bits)."""
+    if q ** min(n, int(budget).bit_length()) > budget:
+        raise BudgetError(
+            f"exhaustive search needs q^n = {power_text(q, n)} assignments, budget is {budget}"
+        )
+
+
 def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, threshold=Fraction(1)):
     """Exhaustive search over the q**n assignments in lexicographic order.
 
@@ -255,10 +269,7 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, thr
     q**n exceeds the budget.
     """
     q, n = inst.family.q, inst.n
-    space = q**n
-    if space > budget:
-        count = space if space.bit_length() <= 64 else f"{q}^{n}"
-        raise BudgetError(f"exhaustive search needs q^n = {count} assignments, budget is {budget}")
+    check_assignment_budget(q, n, budget)
     # (weight, table, 0-based variable indices) per constraint, for the hot loop
     compiled = [
         (c.weight, inst.family[c.predicate].table, tuple(v - 1 for v in c.variables))

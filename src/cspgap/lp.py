@@ -1,22 +1,19 @@
 """Exact rational linear programming for standard-form problems.
 
 Problems are "maximize c.x subject to A x = b, x >= 0" with every entry an
-exact rational; c is dense and each row of A is a read-only {column:
-coefficient} map of its nonzeros, the one form that the tableau set-up, the
-certificate checks and `dump_lp` read.  The solver is a two-phase primal
-simplex on a fraction-free tableau (integer-preserving pivoting: each row,
-the reduced-cost row last among them, is Python ints over one positive
-denominator) using Bland's anti-cycling rule (lowest eligible index enters;
-ratio ties break toward the lowest basic index), which makes every run
-terminating and deterministic; one reader of the basic columns gives both
-the point and the ray.  Nothing is returned unverified: every answer passes
-one of two exact rules that read only the problem's data, in integers: each
-row is kept once more as its nonzeros' numerators over their least common
-denominator (`LpProblem.int_rows`), and the vectors a rule reads are put
-over theirs once per check, so no `Fraction` is built per nonzero.  The
-primal rule (`_check_primal`) checks x >= 0 and A x = rhs; the dual rule
-(`_check_dual`) checks objective_j <= y.A_j for every column j and
-y.b = value.  Only returned values are `Fraction`s.
+exact rational; c is dense and each row of A is stored once, as its
+nonzeros' columns and their numerators over one denominator
+(`LpProblem.rows`), the form that the tableau, both certificate rules and
+`dump_lp` read.  The solver is a two-phase primal simplex on a fraction-free
+tableau (each row, the reduced-cost row last, is Python ints over one
+positive denominator) with Bland's rule (lowest eligible index enters; ratio
+ties break toward the lowest basic index), so every run terminates and is
+deterministic; one reader of the basic columns gives the point and the ray.
+Nothing is returned unverified: every answer passes one of two exact rules
+that read only the problem's data, in integers, building no `Fraction` per
+nonzero.  The primal rule (`_check_primal`) checks x >= 0 and A x = rhs;
+the dual rule (`_check_dual`) checks objective_j <= y.A_j for every column
+j and y.b = value.  Only returned values are `Fraction`s.
 
   * optimal    -- the point passes the primal rule with rhs = b and has
                   c.x = value; the dual vector read off the final tableau
@@ -30,11 +27,10 @@ y.b = value.  Only returned values are `Fraction`s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from types import MappingProxyType
 from typing import Optional
 
 from .errors import InternalError, ValidationError
@@ -49,20 +45,16 @@ UNBOUNDED = "unbounded"
 class LpProblem:
     """maximize objective . x  subject to  rows x = rhs,  x >= 0.
 
-    `objective` is dense, one entry per distinct `str` label.  Each row is a
-    {column: coefficient} mapping over columns in [0, n), stored as a
-    read-only map of its nonzero `Fraction`s in column order.  The tableau
-    set-up and the certificate checks read each row once more in integer
-    form, `int_rows[i] = (columns, numerators, denominator)`: its nonzeros
-    over their least common denominator.
+    `objective` is dense, one entry per distinct `str` label.  Each row is
+    given as a {column: coefficient} mapping over columns in [0, n) and
+    stored as `(columns, numerators, denominator)`: its nonzeros in column
+    order, over their least common denominator.
     """
 
     objective: tuple
     rows: tuple
     rhs: tuple
     labels: tuple
-    # built once from `rows`; not part of repr, equality or hash
-    int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Built from lists: tuple(map(...)) grows a 10-slot tuple by resizing,
@@ -78,24 +70,18 @@ class LpProblem:
         if len(set(labels)) != n:
             raise ValidationError("variable labels must be unique")
         rows = []
-        int_rows = []
         for i, row in enumerate(self.rows):
             items = mapping_items(row, f"row {i}")
             columns = int_tuple([j for j, _ in items], f"row {i} columns")
             if not all(0 <= j < n for j in columns):
                 raise ValidationError(f"row {i} has a column outside [0, {n}): {columns}")
             entries = sorted(zip(columns, [to_fraction(c) for _, c in items]))
-            row = {j: c for j, c in entries if c}
-            rows.append(MappingProxyType(row))
-            numerators, den = _over_lcd(row.values())
-            int_rows.append((tuple(row), tuple(numerators), den))
+            numerators, den = _over_lcd([c for _, c in entries if c])
+            rows.append((tuple([j for j, c in entries if c]), tuple(numerators), den))
         if len(rhs) != len(rows):
-            raise ValidationError(
-                f"{len(rows)} constraint rows but {len(rhs)} right-hand sides"
-            )
+            raise ValidationError(f"{len(rows)} constraint rows but {len(rhs)} right-hand sides")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "int_rows", tuple(int_rows))
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "labels", labels)
 
@@ -137,8 +123,9 @@ def dump_lp(problem: LpProblem) -> str:
 
     objective = [(j, c) for j, c in enumerate(problem.objective) if c]
     lines = [f"maximize {linear(objective)}"]
-    for row, b in zip(problem.rows, problem.rhs):
-        lines.append(f"subject to {linear(row.items())} = {format_rational(b)}")
+    for (columns, numerators, den), b in zip(problem.rows, problem.rhs):
+        terms = zip(columns, [Fraction(v, den) for v in numerators])
+        lines.append(f"subject to {linear(terms)} = {format_rational(b)}")
     lines.append("all variables >= 0")
     return "\n".join(lines)
 
@@ -194,9 +181,7 @@ class _Tableau:
         self.signs = []
         self.rows = []
         self.dens = []
-        for i, ((columns, numerators, row_den), b) in enumerate(
-            zip(problem.int_rows, problem.rhs)
-        ):
+        for i, ((columns, numerators, row_den), b) in enumerate(zip(problem.rows, problem.rhs)):
             # [row | b] over the least common denominator of all its entries
             b_num, b_den = b.as_integer_ratio()
             den = lcm(row_den, b_den)
@@ -300,14 +285,13 @@ def _dot(coeffs, x) -> Fraction:
 def _check_primal(problem: LpProblem, x, rhs, what: str) -> None:
     """The primal rule: x >= 0 and row.x = rhs for every row.
 
-    In integers: x and rhs each over its least common denominator, each row
-    in its `int_rows` form.
+    In integers: x and rhs each over its least common denominator, each row as stored.
     """
     x_nums, x_den = _over_lcd(x)
     if any(v < 0 for v in x_nums):
         raise InternalError(f"{what} has a negative coordinate")
     rhs_nums, rhs_den = _over_lcd(rhs)
-    for i, ((columns, numerators, den), b) in enumerate(zip(problem.int_rows, rhs_nums)):
+    for i, ((columns, numerators, den), b) in enumerate(zip(problem.rows, rhs_nums)):
         # numerators.x_nums / (den * x_den) = b / rhs_den
         dot = sum(map(mul, numerators, map(x_nums.__getitem__, columns)))
         if dot * rhs_den != b * den * x_den:
@@ -318,12 +302,12 @@ def _check_dual(problem: LpProblem, y, objective, value) -> None:
     """The dual rule: objective_j <= y.A_j for every column j and y.b = value.
 
     In integers: y, the objective and the rhs each over its least common
-    denominator, y.A over y's times that of every row's `int_rows` form.
+    denominator, y.A over y's times that of every stored row.
     """
     y_nums, y_den = _over_lcd(y)
-    rows_den = lcm(*[den for _, _, den in problem.int_rows])
+    rows_den = lcm(*[den for _, _, den in problem.rows])
     columns = [0] * problem.num_variables
-    for yi, (row_columns, numerators, den) in zip(y_nums, problem.int_rows):
+    for yi, (row_columns, numerators, den) in zip(y_nums, problem.rows):
         if yi:
             f = yi * (rows_den // den)
             for j, v in zip(row_columns, numerators):

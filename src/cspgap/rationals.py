@@ -1,11 +1,11 @@
 """Exact rational arithmetic helpers.
 
 Every rational the package takes or returns is a `fractions.Fraction`
-(canonical form: reduced, positive denominator); there is no second
-rational type.  Only the simplex tableau in `lp` works on Python ints over
-a common denominator.  Rationals serialize as "p/q" strings.  Every integer
-input, a count or a rational, passes one rule (`int_tuple`): numpy integers
-are integers, bools are not; every mapping input passes `mapping_items`.
+(canonical form: reduced, positive denominator); there is no second rational
+type.  Only `lp` and the `LocalDistributionSolution` check work on Python ints
+over common denominators.  Rationals serialize as "p/q" strings.  Every integer
+input, a count or a rational, passes one rule (`int_tuple`): numpy integers are
+integers, bools are not; every mapping input passes `mapping_items`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared test helpers: canonical instances, random LPs, dense LP rows and a CLI runner."""
+"""Shared test helpers: canonical instances, random and dense LPs, dense rows and a CLI runner."""
 
 import itertools
 import json
@@ -66,15 +66,24 @@ def random_lp(rng, max_vars=12, max_rows=5):
         rows.append([Fraction(1)] * n)
         rhs.append(Fraction(rng.randint(1, 3)))
     objective = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
-    labels = tuple(f"v{j}" for j in range(n))
-    return LpProblem(objective, [dict(enumerate(r)) for r in rows], tuple(rhs), labels)
+    return dense_lp(objective, rows, rhs)
+
+
+def dense_lp(objective, rows, rhs):
+    """A problem from dense rows, given to `LpProblem` as {column: coefficient} maps."""
+    labels = tuple(f"v{j}" for j in range(len(objective)))
+    return LpProblem(tuple(objective), [dict(enumerate(r)) for r in rows], tuple(rhs), labels)
 
 
 def dense_rows(problem):
-    """The problem's sparse constraint rows as dense tuples of n Fractions, zeros included."""
-    zero = Fraction(0)
-    columns = range(problem.num_variables)
-    return tuple(tuple(row.get(j, zero) for j in columns) for row in problem.rows)
+    """The problem's stored constraint rows as dense tuples of n Fractions, zeros included."""
+    dense = []
+    for columns, numerators, den in problem.rows:
+        row = [Fraction(0)] * problem.num_variables
+        for j, v in zip(columns, numerators):
+            row[j] = Fraction(v, den)
+        dense.append(tuple(row))
+    return tuple(dense)
 
 
 def dicut_complete(t):

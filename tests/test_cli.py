@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cspgap.lp
+import cspgap.search
 from builders import run_cli, triangle
 from cspgap import (
     Constraint,
@@ -235,6 +236,36 @@ def test_assignment_budget_error_is_one_short_line(tmp_path, capsys):
     assert captured.err == (
         "error: exhaustive search needs q^n = 2^3000 assignments, budget is 1048576\n"
     )
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_gap_search_refuses_a_variable_count_before_its_universe(
+    mode, cut_family_file, monkeypatch, capsys
+):
+    universe = cspgap.search.constraint_universe
+
+    def small_universe(fam, n):
+        if n > 20:
+            raise AssertionError(f"constraint universe built at n = {n}")
+        return universe(fam, n)
+
+    monkeypatch.setattr("cspgap.search.constraint_universe", small_universe)
+    argv = ["gap-search", "--family", cut_family_file, "--n-min", "400", "--n-max", "400"]
+    assert main([*argv, "--mode", mode, "--gamma", "1", "--beta", "1/2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive search needs q^n = 2^400 assignments, budget is 1048576\n"
+    )
+
+
+@pytest.mark.parametrize("k", [20000, 10**12])
+def test_family_stats_refuses_a_huge_arity(k, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"q": 2, "k": k, "predicates": [{"name": "x", "table": [0, 1]}]}))
+    assert main(["family-stats", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"expected q^k = 2^{k}" in captured.err
 
 
 @pytest.mark.parametrize("section", ["locals", "yes_distribution"])

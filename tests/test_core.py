@@ -76,6 +76,18 @@ def test_predicate_rejects_bad_tables():
         Predicate(2, 2, "p", (0, 1, 2, 0))
     with pytest.raises(ValidationError):
         Predicate(1, 2, "p", (0, 1))
+    # the expected count is written out while it fits in 64 bits
+    with pytest.raises(ValidationError, match=r"expected q\^k = 9223372036854775808$"):
+        Predicate(2, 63, "x", (0, 1))
+    with pytest.raises(ValidationError, match=r"expected q\^k = 2\^64$"):
+        Predicate(2, 64, "x", (0, 1))
+
+
+@pytest.mark.parametrize("k", [20000, 10**12])
+def test_predicate_of_huge_arity_is_refused_without_its_power(k):
+    # 2^20000 has more digits than int-to-str converts; 2^(10^12) never fits in memory
+    with pytest.raises(ValidationError, match=rf"2 entries, expected q\^k = 2\^{k}$"):
+        Predicate(2, k, "x", (0, 1))
 
 
 def test_family_name_map_is_invisible():
@@ -218,6 +230,9 @@ def test_brute_force_budget():
         brute_force_opt(inst, budget=31)
     with pytest.raises(BudgetError, match=r"q\^n = 2\^70 assignments"):
         brute_force_opt(Instance(inst.family, 70, inst.constraints))
+    # q^n is compared only up to the budget's bit length, never built in full
+    with pytest.raises(BudgetError, match=r"q\^n = 2\^1000000000000000000 assignments"):
+        brute_force_opt(Instance(inst.family, 10**18, inst.constraints))
 
 
 def test_brute_force_dominates_random_assignments():

@@ -2,13 +2,13 @@
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import cycle_instance, dense_rows, random_lp, seeded, single_edge
+from builders import cycle_instance, dense_lp, dense_rows, random_lp, seeded, single_edge
 from oracle import vertex_enum_oracle
 from cspgap import (
     BudgetError,
@@ -25,12 +25,6 @@ from cspgap import (
     solve,
 )
 from cspgap.lp import _check_dual, _check_primal
-
-
-def lp(objective, rows, rhs):
-    """A problem from dense rows, given to `LpProblem` as {column: coefficient} maps."""
-    labels = tuple(f"v{i}" for i in range(len(objective)))
-    return LpProblem(tuple(objective), [dict(enumerate(r)) for r in rows], tuple(rhs), labels)
 
 
 def test_problem_validation():
@@ -80,23 +74,25 @@ def test_rows_in_any_mapping_form_give_one_problem(data):
     loose = LpProblem(objective, shuffled, rhs, labels)
     problem = LpProblem(objective, canonical, rhs, labels)
     assert loose == problem
-    assert [list(row.items()) for row in loose.rows] == [list(row.items()) for row in problem.rows]
-    assert {type(c) for row in loose.rows for c in row.values()} <= {Fraction}
+    assert loose.rows == problem.rows and hash(loose) == hash(problem)
+    for (columns, numerators, den), row in zip(loose.rows, dense):
+        assert list(columns) == sorted(set(columns)) and 0 not in numerators
+        assert {type(v) for v in (*columns, *numerators, den)} == {int}
+        assert den == lcm(*[Fraction(v).denominator for v in row])
     assert dense_rows(loose) == tuple(tuple(map(Fraction, row)) for row in dense)
     assert solve(loose) == solve(problem)
     assert dump_lp(loose) == dump_lp(problem)
-    assert LpProblem(loose.objective, loose.rows, loose.rhs, loose.labels) == loose
 
 
 def test_simple_optimal():
-    solution = solve(lp([1], [[1]], [1]))
+    solution = solve(dense_lp([1], [[1]], [1]))
     assert solution.status == "optimal"
     assert solution.value == 1
     assert solution.primal == {"v0": Fraction(1)}
 
 
 def test_simple_infeasible_with_farkas():
-    problem = lp([1], [[1]], [-1])
+    problem = dense_lp([1], [[1]], [-1])
     solution = solve(problem)
     assert solution.status == "infeasible"
     y = solution.farkas
@@ -109,7 +105,7 @@ def test_simple_infeasible_with_farkas():
 
 
 def test_simple_unbounded_with_ray():
-    problem = lp([1], [], [])
+    problem = dense_lp([1], [], [])
     solution = solve(problem)
     assert solution.status == "unbounded"
     ray = [solution.ray[label] for label in problem.labels]
@@ -119,7 +115,7 @@ def test_simple_unbounded_with_ray():
 
 def test_unbounded_with_constraints():
     # x0 - x1 = 1; maximize x0: ray (1, 1).
-    problem = lp([1, 0], [[1, -1]], [1])
+    problem = dense_lp([1, 0], [[1, -1]], [1])
     solution = solve(problem)
     assert solution.status == "unbounded"
     ray = [solution.ray[label] for label in problem.labels]
@@ -128,7 +124,7 @@ def test_unbounded_with_constraints():
 
 def test_degenerate_and_redundant_rows():
     # Duplicated constraint (redundant row) with a degenerate vertex.
-    problem = lp([1, 1], [[1, 1], [1, 1], [1, -1]], [1, 1, 1])
+    problem = dense_lp([1, 1], [[1, 1], [1, 1], [1, -1]], [1, 1, 1])
     solution = solve(problem)
     oracle = vertex_enum_oracle(problem)
     assert solution.status == oracle.status == "optimal"
@@ -136,9 +132,9 @@ def test_degenerate_and_redundant_rows():
 
 
 def test_check_feasible_both_ways():
-    feasible = check_feasible(lp([0], [[1]], [1]))
+    feasible = check_feasible(dense_lp([0], [[1]], [1]))
     assert feasible and feasible.point == {"v0": Fraction(1)}
-    infeasible = check_feasible(lp([0], [[1]], [-1]))
+    infeasible = check_feasible(dense_lp([0], [[1]], [-1]))
     assert not infeasible and infeasible.farkas is not None
 
 
@@ -149,7 +145,7 @@ def test_check_feasible_agrees_with_solve(data):
     dense = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
     objective = data.draw(st.lists(entries, min_size=n, max_size=n))
     rhs = data.draw(st.lists(entries, min_size=m, max_size=m))
-    problem = lp(objective, dense, rhs)
+    problem = dense_lp(objective, dense, rhs)
     solution, result = solve(problem), check_feasible(problem)
     assert bool(result) == (solution.status != "infeasible")
     if result:
@@ -242,7 +238,7 @@ def test_certificate_rules_agree_with_a_plain_fraction_reference(data):
     n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
     vector = lambda size: st.lists(entries, min_size=size, max_size=size)
     dense = data.draw(st.lists(vector(n), min_size=m, max_size=m))
-    problem = lp(data.draw(vector(n)), dense, data.draw(vector(m)))
+    problem = dense_lp(data.draw(vector(n)), dense, data.draw(vector(m)))
     solution = solve(problem)
 
     def edit(values):
@@ -268,13 +264,13 @@ def test_certificate_rules_agree_with_a_plain_fraction_reference(data):
 
 
 def test_oracle_trivial_cases():
-    assert vertex_enum_oracle(lp([1], [[1]], [-1])).status == "infeasible"
-    assert vertex_enum_oracle(lp([1], [], [])).status == "unbounded"
-    assert vertex_enum_oracle(lp([-1], [], [])).status == "optimal"
+    assert vertex_enum_oracle(dense_lp([1], [[1]], [-1])).status == "infeasible"
+    assert vertex_enum_oracle(dense_lp([1], [], [])).status == "unbounded"
+    assert vertex_enum_oracle(dense_lp([-1], [], [])).status == "optimal"
 
 
 def test_oracle_budget():
-    problem = lp([1] * 10, [[1] * 10, [1, -1] + [0] * 8], [1, 0])
+    problem = dense_lp([1] * 10, [[1] * 10, [1, -1] + [0] * 8], [1, 0])
     with pytest.raises(BudgetError):
         vertex_enum_oracle(problem, basis_budget=10)
 
@@ -329,11 +325,8 @@ def test_objective_scaling_preserves_path():
     for _ in range(15):
         problem = random_lp(rng, max_vars=6, max_rows=3)
         scale = Fraction(7, 3)
-        scaled = LpProblem(
-            tuple(scale * c for c in problem.objective),
-            problem.rows,
-            problem.rhs,
-            problem.labels,
+        scaled = dense_lp(
+            [scale * c for c in problem.objective], dense_rows(problem), problem.rhs
         )
         base = solve(problem)
         other = solve(scaled)
@@ -345,7 +338,7 @@ def test_objective_scaling_preserves_path():
 
 
 def test_dump_lp_format():
-    text = dump_lp(lp([1, 0], [[1, 1]], [1]))
+    text = dump_lp(dense_lp([1, 0], [[1, 1]], [1]))
     lines = text.splitlines()
     assert lines[0] == "maximize 1/1 v0"
     assert lines[1] == "subject to 1/1 v0 + 1/1 v1 = 1/1"

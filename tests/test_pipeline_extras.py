@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 
 import cspgap.search
-from builders import triangle
+from builders import dense_lp, triangle
 from oracle import vertex_enum_oracle
 from cspgap import (
     BudgetError,
     Constraint,
     Instance,
-    LpProblem,
     Predicate,
     PredicateFamily,
     SearchConfig,
@@ -125,21 +124,17 @@ def _numbers(*values):
 
 
 def test_every_returned_rational_is_a_fraction():
-    def problem(objective, rows, rhs):
-        labels = tuple(f"v{j}" for j in range(len(objective)))
-        return LpProblem(objective, [dict(enumerate(r)) for r in rows], rhs, labels)
-
-    optimal = solve(problem((1, 1), ((1, 2),), (2,)))
-    infeasible = solve(problem((1,), ((1,),), (-1,)))
-    unbounded = solve(problem((1, 0), ((1, -1),), (1,)))
+    optimal = solve(dense_lp((1, 1), ((1, 2),), (2,)))
+    infeasible = solve(dense_lp((1,), ((1,),), (-1,)))
+    unbounded = solve(dense_lp((1, 0), ((1, -1),), (1,)))
     assert (optimal.status, infeasible.status, unbounded.status) == (
         "optimal", "infeasible", "unbounded"
     )
-    feasible = check_feasible(problem((0, 0), ((1, 1),), (1,)))
-    refuted = check_feasible(problem((0,), ((1,),), (-1,)))
+    feasible = check_feasible(dense_lp((0, 0), ((1, 1),), (1,)))
+    refuted = check_feasible(dense_lp((0,), ((1,),), (-1,)))
     # rank 0: the best basic value is an empty sum
-    no_rows = vertex_enum_oracle(problem((0, 0), (), ()))
-    zero_rows = vertex_enum_oracle(problem((-1, 0), ((0, 0),), (0,)))
+    no_rows = vertex_enum_oracle(dense_lp((0, 0), (), ()))
+    zero_rows = vertex_enum_oracle(dense_lp((-1, 0), ((0, 0),), (0,)))
     assert no_rows.status == zero_rows.status == "optimal"
 
     report = gap_report(triangle())
