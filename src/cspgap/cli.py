@@ -35,7 +35,10 @@ def cmd_family_stats(args) -> int:
         fam, n_max=args.n_max, budget=args.budget, seed=args.seed
     )
     width_report = core.width(fam)
-    classification = witnesses.support_classification(fam, lower, n_max=min(args.n_max, 4))
+    # at most 4 variables for the subfamily brackets, but never fewer than k
+    classification = witnesses.support_classification(
+        fam, lower, n_max=max(fam.k, min(args.n_max, 4))
+    )
     data = {
         "q": fam.q,
         "k": fam.k,

@@ -256,27 +256,13 @@ def check_assignment_budget(q: int, n: int, budget: int) -> None:
         )
 
 
-def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, threshold=Fraction(1)):
-    """Exhaustive search over the q**n assignments in lexicographic order.
+def _max_satisfied(q: int, n: int, compiled, stop: int) -> tuple:
+    """The one exhaustive-search loop over the q**n assignments, in lexicographic order.
 
-    Returns (value, assignment).  The search stops at the first assignment
-    whose value reaches `threshold`, that is, which satisfies
-    ceil(threshold * total weight) of the weight: the pair is then that
-    assignment and its value.  When no assignment reaches it, the pair is the
-    exact optimum and the lexicographically smallest maximizer.  The default
-    threshold 1 stops only at a fully satisfying assignment, so the pair is
-    always the optimum and its smallest maximizer.  Raises BudgetError when
-    q**n exceeds the budget.
+    `compiled` holds each constraint as (weight, table, 0-based variable
+    indices).  Returns (satisfied weight, assignment) of the first assignment
+    whose satisfied weight reaches `stop`, or else of the first maximizer.
     """
-    q, n = inst.family.q, inst.n
-    check_assignment_budget(q, n, budget)
-    # (weight, table, 0-based variable indices) per constraint, for the hot loop
-    compiled = [
-        (c.weight, inst.family[c.predicate].table, tuple(v - 1 for v in c.variables))
-        for c in inst.constraints
-    ]
-    total = inst.total_weight
-    stop = math.ceil(to_fraction(threshold) * total)
     best_sat = -1
     best_assignment = None
     for a in itertools.product(range(q), repeat=n):
@@ -292,6 +278,31 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, thr
             best_assignment = a
             if sat >= stop:
                 break
+    return best_sat, best_assignment
+
+
+def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, threshold=Fraction(1)):
+    """Exhaustive search over the q**n assignments in lexicographic order.
+
+    Returns (value, assignment).  The search stops at the first assignment
+    whose value reaches `threshold`, that is, which satisfies
+    ceil(threshold * total weight) of the weight: the pair is then that
+    assignment and its value.  When no assignment reaches it, the pair is the
+    exact optimum and the lexicographically smallest maximizer.  The default
+    threshold 1 stops only at a fully satisfying assignment, so the pair is
+    always the optimum and its smallest maximizer.  Raises BudgetError when
+    q**n exceeds the budget.
+    """
+    q, n = inst.family.q, inst.n
+    check_assignment_budget(q, n, budget)
+    compiled = [
+        (c.weight, inst.family[c.predicate].table, tuple(v - 1 for v in c.variables))
+        for c in inst.constraints
+    ]
+    total = inst.total_weight
+    best_sat, best_assignment = _max_satisfied(
+        q, n, compiled, math.ceil(to_fraction(threshold) * total)
+    )
     return Fraction(best_sat, total), best_assignment
 
 
@@ -441,12 +452,17 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     return Fraction(best, den**k)
 
 
+def _universe_scopes(fam: PredicateFamily, n: int):
+    """(predicate, 0-based scope) of every constraint on n variables, in canonical order."""
+    return (
+        (p, scope) for p in fam.predicates for scope in itertools.permutations(range(n), fam.k)
+    )
+
+
 def constraint_universe(fam: PredicateFamily, n: int) -> tuple:
     """All unit-weight constraints on n variables, in canonical order."""
     return tuple(
-        Constraint(p.name, combo)
-        for p in fam.predicates
-        for combo in itertools.permutations(range(1, n + 1), fam.k)
+        Constraint(p.name, tuple(v + 1 for v in scope)) for p, scope in _universe_scopes(fam, n)
     )
 
 
@@ -504,6 +520,28 @@ def canonical_instance(inst: Instance) -> Instance:
     return Instance(inst.family, inst.n, tuple(itertools.starmap(Constraint, best)))
 
 
+def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
+    """The instances `rho_upper_empirical` evaluates, each as (n, picks).
+
+    A pick is a constraint as (predicate name, (weight, table, 0-based
+    scope)), the second part being the form `_max_satisfied` reads.  The
+    complete instances on k..n_max variables come first, then random
+    instances drawn with `rng` from each n's constraint universe at weights
+    1 and 2, built once per n.
+    """
+    universes = {}
+    for t in range(fam.k, n_max + 1):
+        universes[t] = tuple(
+            tuple((p.name, (weight, p.table, scope)) for weight in (1, 2))
+            for p, scope in _universe_scopes(fam, t)
+        )
+        yield t, [pair[0] for pair in universes[t]]
+    while True:
+        n = rng.randint(fam.k, n_max)
+        m = rng.randint(1, max(2, 2 * n))
+        yield n, [rng.choice(universes[n])[rng.randint(1, 2) - 1] for _ in range(m)]
+
+
 def rho_upper_empirical(
     fam: PredicateFamily,
     n_max: int,
@@ -515,12 +553,15 @@ def rho_upper_empirical(
     Evaluates the complete instances on k..n_max variables first, then seeded
     random instances until the evaluation budget is spent, and returns the
     minimum brute-force optimum seen.  Any instance's optimum upper-bounds the
-    limiting infimum, so the result is always a valid upper bound.
+    limiting infimum, so the result is always a valid upper bound.  Every
+    variable count the stream reaches is checked against the default
+    assignment budget before the first instance is evaluated.
 
-    Each brute force gets the running minimum as its stop threshold: an
-    instance stops at its first assignment that reaches the minimum, since it
-    can no longer lower it, and an instance whose optimum is below the
-    minimum is enumerated in full and gives that exact optimum.
+    Each exhaustive search gets the running minimum as its stop threshold:
+    an instance stops at its first assignment that reaches the minimum, since
+    it can no longer lower it, and an instance whose optimum is below the
+    minimum is enumerated in full and gives that exact optimum.  The minimum
+    is kept as an integer pair (satisfied weight, total weight).
     """
     n_max, budget = as_int(n_max, "n_max"), as_int(budget, "instance budget")
     seed = as_int(seed, "instance seed")
@@ -528,27 +569,18 @@ def rho_upper_empirical(
         raise ValidationError(f"need n_max >= k = {fam.k}, got {n_max}")
     if budget < 1:
         raise BudgetError("budget exhausted before any instance was evaluated")
-    rng = random.Random(seed)
-
-    def instances():
-        # per n, each universe constraint at weights 1 and 2, built once
-        universes = {}
-        for t in range(fam.k, n_max + 1):
-            complete = complete_instance(fam, t)
-            universes[t] = tuple(
-                (c, Constraint(c.predicate, c.variables, 2)) for c in complete.constraints
-            )
-            yield complete
-        while True:
-            n = rng.randint(fam.k, n_max)
-            m = rng.randint(1, max(2, 2 * n))
-            constraints = tuple(rng.choice(universes[n])[rng.randint(1, 2) - 1] for _ in range(m))
-            yield Instance(fam, n, constraints)
-
-    best = Fraction(1)
-    for inst in itertools.islice(instances(), budget):
-        best = min(best, brute_force_opt(inst, threshold=best)[0])
-    return best
+    # the stream's first `budget` instances reach n = k..k + budget - 1 at most
+    for n in range(fam.k, min(n_max, fam.k + budget - 1) + 1):
+        check_assignment_budget(fam.q, n, DEFAULT_ASSIGNMENT_BUDGET)
+    best_sat, best_total = 1, 1
+    for n, picks in itertools.islice(_upper_stream(fam, n_max, random.Random(seed)), budget):
+        compiled = [entry for _, entry in picks]
+        total = sum(entry[0] for entry in compiled)
+        # stop at ceil(best * total): an instance that reaches it cannot lower the minimum
+        sat, _ = _max_satisfied(fam.q, n, compiled, -(-best_sat * total // best_total))
+        if sat * best_total < best_sat * total:
+            best_sat, best_total = sat, total
+    return Fraction(best_sat, best_total)
 
 
 @dataclass(frozen=True)

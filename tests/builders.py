@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import cspgap
 from cspgap import Constraint, Instance, LpProblem, cut_family, dicut_family
+from cspgap import core
 from cspgap.core import constraint_universe
 
 
@@ -94,6 +95,25 @@ def dicut_complete(t):
         for pair in itertools.permutations(range(1, t + 1), 2)
     )
     return Instance(fam, t, constraints)
+
+
+def record_upper_stream(monkeypatch):
+    """Patch `core._upper_stream` so that each instance `rho_upper_empirical`
+    evaluates is rebuilt as an `Instance` and appended, in order, to the list
+    returned."""
+    seen = []
+    stream = core._upper_stream
+
+    def recording(fam, *args):
+        for n, picks in stream(fam, *args):
+            seen.append(Instance(fam, n, tuple(
+                Constraint(name, tuple(v + 1 for v in scope), weight)
+                for name, (weight, _, scope) in picks
+            )))
+            yield n, picks
+
+    monkeypatch.setattr(core, "_upper_stream", recording)
+    return seen
 
 
 def seeded(seed):

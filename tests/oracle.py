@@ -1,18 +1,32 @@
-"""Independent test oracles for the exact LP solver and the product maximin.
+"""Independent test oracles for the exact LP solver and the threshold bracket.
 
 `vertex_enum_oracle` computes the optimum of a standard-form problem by
 enumerating basic solutions with Gaussian elimination.  It shares no code
 with the simplex in `cspgap.lp` and exists so tests can cross-check the
 solver exactly.  `product_maximin_reference` is the plain max-min lattice
-scan that `cspgap.core.rho_product_lower` must reproduce exactly.
+scan that `cspgap.core.rho_product_lower` must reproduce exactly, and
+`rho_upper_reference` the plain instance-by-instance replay that
+`cspgap.core.rho_upper_empirical` must reproduce exactly.
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb, prod
 
 from builders import dense_rows
-from cspgap import INFEASIBLE, OPTIMAL, UNBOUNDED, BudgetError, LpProblem, LpSolution
+from cspgap import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    BudgetError,
+    Constraint,
+    Instance,
+    LpProblem,
+    LpSolution,
+    brute_force_opt,
+    complete_instance,
+)
 from cspgap.core import compositions
 
 
@@ -175,3 +189,29 @@ def product_maximin_reference(fam, precision) -> Fraction:
                         best_val, point = val, candidate
                         improved = True
     return best_val
+
+
+def rho_upper_reference(fam, n_max, budget, seed) -> Fraction:
+    """`rho_upper_empirical` as a plain replay: the least optimum of its stream.
+
+    The stream is rebuilt as real `Instance`s: the complete instances on
+    k..n_max variables, then seeded random ones whose constraints are drawn
+    from each n's complete instance at weights 1 and 2, with the same `rng`
+    calls in the same order.  Every instance gets a full `brute_force_opt`,
+    with no stop threshold.
+    """
+    rng = random.Random(seed)
+
+    def instances():
+        universes = {}
+        for t in range(fam.k, n_max + 1):
+            complete = complete_instance(fam, t)
+            universes[t] = [(c, Constraint(c.predicate, c.variables, 2)) for c in complete.constraints]
+            yield complete
+        while True:
+            n = rng.randint(fam.k, n_max)
+            m = rng.randint(1, max(2, 2 * n))
+            constraints = [rng.choice(universes[n])[rng.randint(1, 2) - 1] for _ in range(m)]
+            yield Instance(fam, n, constraints)
+
+    return min(brute_force_opt(inst)[0] for inst in islice(instances(), budget))

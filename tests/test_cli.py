@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cspgap.core
 import cspgap.lp
 import cspgap.search
 from builders import run_cli, triangle
@@ -137,6 +138,37 @@ def test_oversized_rational_flag_is_operational_error(args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: not a rational") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_max", ["5", "6"])
+def test_family_stats_of_arity_five_classifies_its_subfamilies(n_max, tmp_path, capsys):
+    # "one" supports one-wise independence and "first" (first coordinate 1)
+    # does not, so the subfamily brackets run, on at least k = 5 variables.
+    path = tmp_path / "k5.json"
+    path.write_text(json.dumps({"q": 2, "k": 5, "predicates": [
+        {"name": "one", "table": [1] * 32},
+        {"name": "first", "table": [int(rank >= 16) for rank in range(32)]},
+    ]}))
+    assert main(["family-stats", str(path), "--json", "--n-max", n_max]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["onewise"] == "weak"
+    assert data["onewise_subfamily"] == ["one"]
+
+
+def test_family_stats_refuses_an_over_budget_n_before_any_search(monkeypatch, capsys):
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cspgap.core, "_max_satisfied", search)
+    assert main(["family-stats", str(DATA / "cut_family.json"), "--n-max", "21"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive search needs q^n = 2097152 assignments, budget is 1048576\n"
+    )
+    monkeypatch.undo()
+    # a stream of three instances stops at n = 4, long before n = 21
+    argv = ["family-stats", str(DATA / "cut_family.json"), "--json", "--n-max", "30"]
+    assert main([*argv, "--budget", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho_upper"] == "2/3"
 
 
 def neq_family(q):

@@ -7,10 +7,17 @@ from fractions import Fraction
 import pytest
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import cycle_instance, dicut_complete, random_instance, seeded, single_edge
+from builders import (
+    cycle_instance,
+    dicut_complete,
+    random_instance,
+    record_upper_stream,
+    seeded,
+    single_edge,
+)
 from cspgap import core
 from cspgap import (
     BudgetError,
@@ -33,7 +40,7 @@ from cspgap import (
     width,
 )
 from cspgap.core import digits_to_tuple, product_mass, tuple_to_digits
-from oracle import product_maximin_reference
+from oracle import product_maximin_reference, rho_upper_reference
 
 
 def test_predicate_table_round_trip():
@@ -493,14 +500,7 @@ def test_rho_bracket_orders():
 def test_rho_upper_empirical_is_the_least_exact_optimum_of_its_stream(monkeypatch):
     # The stop threshold never changes the minimum: recompute every
     # evaluated instance's optimum without it.
-    seen = []
-    original = core.brute_force_opt
-
-    def recording(inst, *args, **kwargs):
-        seen.append(inst)
-        return original(inst, *args, **kwargs)
-
-    monkeypatch.setattr(core, "brute_force_opt", recording)
+    seen = record_upper_stream(monkeypatch)
     rng = seeded(12)
     generated = [
         PredicateFamily(tuple(
@@ -514,7 +514,56 @@ def test_rho_upper_empirical_is_the_least_exact_optimum_of_its_stream(monkeypatc
             seen.clear()
             value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
             assert len(seen) == budget
-            assert value == min(original(inst)[0] for inst in seen)
+            assert value == min(brute_force_opt(inst)[0] for inst in seen)
+
+
+@st.composite
+def upper_cases(draw):
+    """A family with q, k <= 3 and one to three predicates, n_max <= 5, budget <= 64, a seed."""
+    q, k = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    tables = draw(st.lists(
+        st.tuples(*[st.integers(0, 1)] * q**k), min_size=1, max_size=3
+    ))
+    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    return fam, draw(st.integers(k, 5)), draw(st.integers(1, 64)), draw(st.integers(0, 99))
+
+
+TWIN_TABLES = PredicateFamily((
+    Predicate(2, 2, "a", (0, 1, 1, 1)),
+    Predicate(2, 2, "b", (0, 1, 1, 1)),
+    Predicate(2, 2, "c", (1, 0, 0, 0)),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=upper_cases())
+@example(case=(TWIN_TABLES, 4, 64, 0))
+@example(case=(TWIN_TABLES, 5, 40, 3))
+@example(case=(TWIN_TABLES, 3, 17, 11))
+def test_rho_upper_empirical_matches_its_reference_replay(case):
+    # The compiled stream, the integer running minimum and the stop
+    # threshold against real instances, each searched in full.
+    fam, n_max, budget, seed = case
+    value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
+    assert type(value) is Fraction
+    assert value == rho_upper_reference(fam, n_max, budget, seed)
+
+
+def test_rho_upper_empirical_refuses_an_over_budget_n_before_any_search(monkeypatch):
+    # q^21 > DEFAULT_ASSIGNMENT_BUDGET: a stream that reaches n = 21 is
+    # refused before its first instance; one that stops at n = 20 starts.
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(core, "_max_satisfied", search)
+    for n_max, budget in ((21, 20), (21, 256), (40, 10**9)):
+        with pytest.raises(BudgetError) as refused:
+            rho_upper_empirical(cut_family(), n_max, budget=budget)
+        assert str(refused.value) == (
+            "exhaustive search needs q^n = 2097152 assignments, budget is 1048576"
+        )
+    with pytest.raises(AssertionError, match="searched"):
+        rho_upper_empirical(cut_family(), 21, budget=19)
 
 
 def test_rho_upper_budget_must_be_positive():

@@ -17,7 +17,15 @@ from fractions import Fraction
 
 import pytest
 
-from builders import cycle_instance, mutate_leaves, random_instance, random_lp, seeded, triangle
+from builders import (
+    cycle_instance,
+    mutate_leaves,
+    random_instance,
+    random_lp,
+    record_upper_stream,
+    seeded,
+    triangle,
+)
 from cspgap import (
     Constraint,
     Instance,
@@ -211,14 +219,7 @@ def test_rho_upper_empirical_instance_stream(monkeypatch):
     Budgets 1-3 stop inside the complete instances (up to four of them on
     n_max = 5), the larger ones run into the seeded random phase.
     """
-    seen = []
-    original = core.brute_force_opt
-
-    def recording(inst, *args, **kwargs):
-        seen.append(repr(inst))
-        return original(inst, *args, **kwargs)
-
-    monkeypatch.setattr(core, "brute_force_opt", recording)
+    seen = record_upper_stream(monkeypatch)
     digest = hashlib.sha256()
     for fam in stream_families():
         for n_max in (3, 4, 5):
@@ -228,7 +229,7 @@ def test_rho_upper_empirical_instance_stream(monkeypatch):
                     value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
                     assert len(seen) == budget
                     digest.update(f"{n_max}|{budget}|{seed}|{value}\n".encode())
-                    digest.update("\n".join(seen).encode() + b"\0")
+                    digest.update("\n".join(map(repr, seen)).encode() + b"\0")
     assert digest.hexdigest() == DIGESTS["upper-stream"]
 
 
