@@ -10,11 +10,16 @@ Fraction in [0, 1].
 Besides the data model this module computes brute-force optima, the two
 sides of the trivial-threshold bracket (best i.i.d. product assignment from
 below, cheapest enumerated instance from above), and shift widths over the
-additive group Z_q.
+additive group Z_q.  Both brute-force optima and the bracket's upper end
+come from one exhaustive search, `_max_satisfied`, which scores blocks of
+assignments at once in the lanes of a Python integer: one lane per
+assignment, one 0/1 lane mask per constraint, and one weighted sum of masks
+per block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -108,7 +113,19 @@ class Predicate:
 
     def satisfying_tuples(self) -> tuple:
         """All satisfying k-tuples, in lexicographic order."""
-        return tuple(self.tuple_of(r) for r, v in enumerate(self.table) if v)
+        return self._satisfying
+
+    @functools.cached_property
+    def _satisfying(self) -> tuple:
+        # the table is in lexicographic order, as `itertools.product` counts
+        return tuple(
+            a for a, v in zip(itertools.product(range(self.q), repeat=self.k), self.table) if v
+        )
+
+    @functools.cached_property
+    def _lane_masks(self) -> dict:
+        # (scope, n, lane width) -> lane mask, filled by `_max_satisfied`
+        return {}
 
 
 @dataclass(frozen=True)
@@ -256,29 +273,181 @@ def check_assignment_budget(q: int, n: int, budget: int) -> None:
         )
 
 
-def _max_satisfied(q: int, n: int, compiled, stop: int) -> tuple:
-    """The one exhaustive-search loop over the q**n assignments, in lexicographic order.
+# Most assignments one block of `_max_satisfied` scores at once.  A block
+# fixes the high variables and gives each assignment of the low ones a lane.
+BLOCK_LANES = 1 << 12
 
-    `compiled` holds each constraint as (weight, table, 0-based variable
+# Most lane masks a predicate keeps for one-block searches; it forgets them
+# all when it reaches this many.
+MASKS_PER_PREDICATE = 1024
+
+
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """`pattern` placed `count` times, `period` bits apart, by doubling."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= pattern << shift
+            shift += period
+        count >>= 1
+        if count:
+            pattern |= pattern << period
+            period *= 2
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _lanes(q: int, low: int, width: int) -> tuple:
+    """(ones, tops, lanes) of a block over `low` variables, `width` bits a lane.
+
+    Lane j stands for the j-th assignment of the low variables in
+    lexicographic order.  `ones` has a 1 at the bottom of every lane, `tops`
+    at the top, and lanes[i][s] at the bottom of the lanes where low
+    variable i takes symbol s.
+    """
+    lanes = []
+    for i in range(low):
+        run = q ** (low - 1 - i)  # consecutive lanes that share symbol i
+        first = _repeat(1, width, run)
+        lanes.append(tuple(
+            _repeat(first << (s * run * width), q * run * width, q**i) for s in range(q)
+        ))
+    ones = _repeat(1, width, q**low)
+    return ones, ones << (width - 1), tuple(lanes)
+
+
+def _lane_mask(tuples, scope, ones: int, lanes) -> int:
+    """The lanes whose assignment puts one of `tuples` on `scope`.
+
+    That is the OR, over the tuples, of the AND of lanes[v][s] over the
+    tuple's symbols s on the scope's variables v.
+    """
+    mask = 0
+    for values in tuples:
+        term = ones
+        for v, s in zip(scope, values):
+            term &= lanes[v][s]
+        mask |= term
+    return mask
+
+
+def _constraint_masks(pred: Predicate, scope, high: int, ones: int, lanes) -> dict:
+    """A constraint's lane mask in each block that fixes variables 0..high-1.
+
+    Keyed by the symbols of the scope's high variables, in increasing
+    variable order: each mask is that of the satisfying tuples that put
+    those symbols there.
+    """
+    fixed = sorted((v, i) for i, v in enumerate(scope) if v < high)
+    free = [i for i, v in enumerate(scope) if v >= high]
+    groups = {}
+    for values in pred.satisfying_tuples():
+        groups.setdefault(tuple(values[i] for _, i in fixed), []).append(
+            tuple(values[i] for i in free)
+        )
+    free_scope = tuple(scope[i] - high for i in free)
+    return {key: _lane_mask(tuples, free_scope, ones, lanes) for key, tuples in groups.items()}
+
+
+def _one_block_counts(n: int, width: int, compiled, ones: int, lanes) -> int:
+    """The lane weights of a search whose one block spans all n variables.
+
+    Each predicate keeps the masks it has built, per (scope, n, width).
+    """
+    counts = 0
+    for weight, pred, scope in compiled:
+        masks = pred._lane_masks
+        mask = masks.get((scope, n, width))
+        if mask is None:
+            if len(masks) >= MASKS_PER_PREDICATE:
+                masks.clear()
+            mask = _lane_mask(pred.satisfying_tuples(), scope, ones, lanes)
+            masks[scope, n, width] = mask
+        counts += weight * mask
+    return counts
+
+
+def _block_counts(q: int, high: int, compiled, ones: int, lanes):
+    """(high symbols, lane weights) of each block that fixes variables 0..high-1, in order.
+
+    The masks of constraints with the same high variables are summed once,
+    keyed by those variables' symbols.
+    """
+    groups = {}  # sorted high variables -> {their symbols: summed weighted mask}
+    for weight, pred, scope in compiled:
+        group = groups.setdefault(tuple(sorted(v for v in scope if v < high)), {})
+        for key, mask in _constraint_masks(pred, scope, high, ones, lanes).items():
+            group[key] = group.get(key, 0) + weight * mask
+    base = groups.pop((), {}).get((), 0)  # constraints on low variables only
+    for prefix in itertools.product(range(q), repeat=high):
+        counts = base
+        for variables, group in groups.items():
+            counts += group.get(tuple(prefix[v] for v in variables), 0)
+        yield prefix, counts
+
+
+def _first_lane(q: int, low: int, width: int, counts: int, hits: int, prefix) -> tuple:
+    """(weight, assignment) of the lowest lane of `counts` whose top bit `hits` sets."""
+    lane = (hits & -hits).bit_length() // width - 1
+    sat = (counts >> (lane * width)) & ((1 << width) - 1)
+    digits = [0] * low
+    for i in range(low - 1, -1, -1):
+        lane, digits[i] = divmod(lane, q)
+    return sat, (*prefix, *digits)
+
+
+def _max_satisfied(q: int, n: int, compiled, stop: int) -> tuple:
+    """The one exhaustive search over the q**n assignments, in lexicographic order.
+
+    `compiled` holds each constraint as (weight, predicate, 0-based variable
     indices).  Returns (satisfied weight, assignment) of the first assignment
     whose satisfied weight reaches `stop`, or else of the first maximizer.
+
+    Every assignment is scored at once in big-integer lanes.  The low
+    variables, at most BLOCK_LANES assignments of them, span a block in
+    which each assignment has a lane of `width` bits, with 2^(width-1)
+    above the total weight; the blocks fix the high variables and are taken
+    in lexicographic order.  A constraint's lane mask holds 1 in the lanes
+    that satisfy it, so a block's satisfied weights are one sum of weighted
+    masks.  Adding 2^(width-1) - t to every lane sets a lane's top bit
+    exactly when its weight reaches t, so the lowest top bit set names the
+    first assignment that reaches t, and a binary search on t finds a
+    block's largest weight.  The masks of a one-block search stay with
+    their predicates for the next search.
     """
+    total = sum(weight for weight, _, _ in compiled)
+    # a multiple of 16 with 2^(width-1) > total: every total below 2^15
+    # shares width 16, and so the masks its predicates keep
+    width = (total.bit_length() + 16) & ~15
+    low = n
+    while q**low > BLOCK_LANES:
+        low -= 1
+    ones, tops, lanes = _lanes(q, low, width)
+    if low < n:
+        blocks = _block_counts(q, n - low, compiled, ones, lanes)
+    else:
+        blocks = (((), _one_block_counts(n, width, compiled, ones, lanes)),)
+    half = 1 << (width - 1)
+    if stop < 0:  # every assignment reaches a stop at or below 0
+        stop = 0
     best_sat = -1
-    best_assignment = None
-    for a in itertools.product(range(q), repeat=n):
-        sat = 0
-        for weight, table, variables in compiled:
-            rank = 0
-            for v in variables:
-                rank = rank * q + a[v]
-            if table[rank]:
-                sat += weight
-        if sat > best_sat:
-            best_sat = sat
-            best_assignment = a
-            if sat >= stop:
-                break
-    return best_sat, best_assignment
+    for prefix, counts in blocks:
+        if stop <= total:
+            hits = (counts + ones * (half - stop)) & tops
+            if hits:
+                return _first_lane(q, low, width, counts, hits, prefix)
+        lo, hi = best_sat + 1, min(stop, total + 1)  # no lane reaches hi
+        if lo >= hi or lo and not (counts + ones * (half - lo)) & tops:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (counts + ones * (half - mid)) & tops:
+                lo = mid
+            else:
+                hi = mid
+        hits = (counts + ones * (half - lo)) & tops
+        best_sat, best = _first_lane(q, low, width, counts, hits, prefix)
+    return best_sat, best
 
 
 def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, threshold=Fraction(1)):
@@ -296,13 +465,14 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, thr
     q, n = inst.family.q, inst.n
     check_assignment_budget(q, n, budget)
     compiled = [
-        (c.weight, inst.family[c.predicate].table, tuple(v - 1 for v in c.variables))
+        (c.weight, inst.family[c.predicate], tuple(v - 1 for v in c.variables))
         for c in inst.constraints
     ]
     total = inst.total_weight
-    best_sat, best_assignment = _max_satisfied(
-        q, n, compiled, math.ceil(to_fraction(threshold) * total)
-    )
+    threshold = to_fraction(threshold)
+    # ceil(threshold * total) in integers
+    stop = -(-threshold.numerator * total // threshold.denominator)
+    best_sat, best_assignment = _max_satisfied(q, n, compiled, stop)
     return Fraction(best_sat, total), best_assignment
 
 
@@ -523,7 +693,7 @@ def canonical_instance(inst: Instance) -> Instance:
 def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
     """The instances `rho_upper_empirical` evaluates, each as (n, picks).
 
-    A pick is a constraint as (predicate name, (weight, table, 0-based
+    A pick is a constraint as (predicate name, (weight, predicate, 0-based
     scope)), the second part being the form `_max_satisfied` reads.  The
     complete instances on k..n_max variables come first, then random
     instances drawn with `rng` from each n's constraint universe at weights
@@ -532,7 +702,7 @@ def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
     universes = {}
     for t in range(fam.k, n_max + 1):
         universes[t] = tuple(
-            tuple((p.name, (weight, p.table, scope)) for weight in (1, 2))
+            tuple((p.name, (weight, p, scope)) for weight in (1, 2))
             for p, scope in _universe_scopes(fam, t)
         )
         yield t, [pair[0] for pair in universes[t]]

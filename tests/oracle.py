@@ -7,6 +7,8 @@ solver exactly.  `product_maximin_reference` is the plain max-min lattice
 scan that `cspgap.core.rho_product_lower` must reproduce exactly, and
 `rho_upper_reference` the plain instance-by-instance replay that
 `cspgap.core.rho_upper_empirical` must reproduce exactly.
+`max_satisfied_reference` is the plain assignment-by-assignment loop that
+the lane search `cspgap.core._max_satisfied` must reproduce exactly.
 """
 
 import random
@@ -215,3 +217,26 @@ def rho_upper_reference(fam, n_max, budget, seed) -> Fraction:
             yield Instance(fam, n, constraints)
 
     return min(brute_force_opt(inst)[0] for inst in islice(instances(), budget))
+
+
+def max_satisfied_reference(q, n, compiled, stop) -> tuple:
+    """`cspgap.core._max_satisfied` as a plain loop over the q**n assignments.
+
+    Each assignment, in lexicographic order, ranks every constraint's tuple
+    into its predicate's truth table.  Returns (satisfied weight,
+    assignment) of the first assignment whose weight reaches `stop`, else of
+    the first maximizer.
+    """
+    best_sat, best = -1, None
+    for a in product(range(q), repeat=n):
+        sat = 0
+        for weight, pred, variables in compiled:
+            rank = 0
+            for v in variables:
+                rank = rank * q + a[v]
+            sat += weight * pred.table[rank]
+        if sat > best_sat:
+            best_sat, best = sat, a
+            if sat >= stop:
+                break
+    return best_sat, best

@@ -171,6 +171,13 @@ def test_family_stats_refuses_an_over_budget_n_before_any_search(monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["rho_upper"] == "2/3"
 
 
+def test_family_stats_searches_twenty_variables(capsys):
+    # the complete instances on 2..20 variables: 2^20 assignments at n = 20
+    argv = ["family-stats", str(DATA / "cut_family.json"), "--json", "--n-max", "20"]
+    assert main([*argv, "--budget", "19"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho_upper"] == "10/19"
+
+
 def neq_family(q):
     table = tuple(int(a != b) for a in range(q) for b in range(q))
     return PredicateFamily((Predicate(q, 2, "neq", table),))

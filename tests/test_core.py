@@ -40,13 +40,23 @@ from cspgap import (
     width,
 )
 from cspgap.core import digits_to_tuple, product_mass, tuple_to_digits
-from oracle import product_maximin_reference, rho_upper_reference
+from oracle import max_satisfied_reference, product_maximin_reference, rho_upper_reference
 
 
 def test_predicate_table_round_trip():
     pred = Predicate(3, 2, "p", tuple(i % 2 for i in range(9)))
     for rank in range(9):
         assert pred.index_of(pred.tuple_of(rank)) == rank
+
+
+def test_satisfying_tuples_are_built_once_in_rank_order():
+    pred = Predicate(3, 2, "p", tuple(i % 2 for i in range(9)))
+    tuples = pred.satisfying_tuples()
+    assert tuples == tuple(pred.tuple_of(r) for r, v in enumerate(pred.table) if v)
+    assert pred.satisfying_tuples() is tuples
+    # the cached tuple is not part of equality, the hash or the repr
+    fresh = Predicate(3, 2, "p", pred.table)
+    assert (pred, hash(pred), repr(pred)) == (fresh, hash(fresh), repr(fresh))
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,6 +303,73 @@ def test_brute_force_stop_threshold_against_enumeration(data):
         assert value >= threshold
         assert csp_value(inst, witness) == value
         assert witness == min(a for a, v in values.items() if v >= threshold)
+
+
+@st.composite
+def lane_searches(draw):
+    """(q, n, compiled constraints, stop, block lanes) for `core._max_satisfied`.
+
+    The block size runs from one lane to the default, so a small n spans one
+    block or several; weights up to 10^6 vary the lane width; `stop` lies at
+    or below 0, inside (0, total], at the total or above it.
+    """
+    q = draw(st.sampled_from((2, 3, 4)), label="q")
+    k = draw(st.integers(1, 3), label="k")
+    n = draw(st.integers(k, {2: 7, 3: 5, 4: 4}[q]), label="n")
+    table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
+    tables = draw(st.lists(table, min_size=1, max_size=3), label="tables")
+    preds = [Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)]
+    compiled = draw(st.lists(st.tuples(
+        st.one_of(st.integers(1, 3), st.integers(1, 10**6)),
+        st.sampled_from(preds),
+        st.permutations(range(n)).map(lambda order: tuple(order[:k])),
+    ), min_size=1, max_size=6), label="compiled")
+    total = sum(weight for weight, _, _ in compiled)
+    stop = draw(st.one_of(
+        st.integers(-3, 0), st.integers(1, total), st.just(total), st.integers(total + 1, 2 * total)
+    ), label="stop")
+    block = draw(st.sampled_from((1, 2, 3, q, q * q, q**3, 5, core.BLOCK_LANES)), label="block")
+    return q, n, compiled, stop, block
+
+
+TIED = Predicate(2, 2, "or", (0, 1, 1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lane_searches())
+# or(x0, x1) + or(x2, x3) in blocks of 4 lanes: the optimum 2 first shows in
+# the second block and again in every later one
+@example(case=(2, 4, [(1, TIED, (0, 1)), (1, TIED, (2, 3))], 3, 4))
+@example(case=(2, 4, [(1, TIED, (0, 1)), (1, TIED, (2, 3))], 2, 4))
+# a stop of 0, one-lane blocks and a wide lane
+@example(case=(2, 3, [(10**6, TIED, (2, 0))], 0, 1))
+def test_lane_search_matches_the_plain_loop(case):
+    q, n, compiled, stop, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "BLOCK_LANES", block)
+        found = core._max_satisfied(q, n, compiled, stop)
+    assert found == max_satisfied_reference(q, n, compiled, stop)
+    assert type(found[1]) is tuple
+
+
+def test_lane_search_keeps_each_lane_integer_within_one_block(monkeypatch):
+    # q^n = 2^14 assignments in blocks of 16 lanes: no lane constant is
+    # wider than 16 lanes.
+    built = []
+    lanes = core._lanes
+
+    def recording(q, low, width):
+        built.append((q**low, width, lanes(q, low, width)))
+        return built[-1][2]
+
+    monkeypatch.setattr(core, "_lanes", recording)
+    monkeypatch.setattr(core, "BLOCK_LANES", 16)
+    inst = cycle_instance(14)
+    assert brute_force_opt(inst) == (Fraction(1), (0, 1) * 7)
+    assert built and all(count == 16 for count, _, _ in built)
+    for count, width, (ones, tops, symbol_lanes) in built:
+        widest = max(ones, tops, *itertools.chain.from_iterable(symbol_lanes)).bit_length()
+        assert widest <= count * width
 
 
 def same_class_variant(data, inst) -> Instance:
