@@ -61,6 +61,8 @@ def cmd_family_stats(args) -> int:
 
 def cmd_lp_solve(args) -> int:
     inst = serialize.load_instance(args.instance)
+    if args.brute_force:  # refuse an over-budget search before any LP work
+        core.check_assignment_budget(inst.family.q, inst.n, args.budget)
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
             handle.write(lp.dump_lp(basic_lp.build_basic_lp(inst)) + "\n")

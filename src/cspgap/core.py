@@ -283,17 +283,8 @@ MASKS_PER_PREDICATE = 1024
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
-    """`pattern` placed `count` times, `period` bits apart, by doubling."""
-    out = shift = 0
-    while count:
-        if count & 1:
-            out |= pattern << shift
-            shift += period
-        count >>= 1
-        if count:
-            pattern |= pattern << period
-            period *= 2
-    return out
+    """`pattern` placed `count` times, `period` bits apart; `period` is a multiple of 8."""
+    return int.from_bytes(pattern.to_bytes(period // 8, "little") * count, "little")
 
 
 @functools.lru_cache(maxsize=32)
@@ -450,17 +441,11 @@ def _max_satisfied(q: int, n: int, compiled, stop: int) -> tuple:
     return best_sat, best
 
 
-def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, threshold=Fraction(1)):
+def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET):
     """Exhaustive search over the q**n assignments in lexicographic order.
 
-    Returns (value, assignment).  The search stops at the first assignment
-    whose value reaches `threshold`, that is, which satisfies
-    ceil(threshold * total weight) of the weight: the pair is then that
-    assignment and its value.  When no assignment reaches it, the pair is the
-    exact optimum and the lexicographically smallest maximizer.  The default
-    threshold 1 stops only at a fully satisfying assignment, so the pair is
-    always the optimum and its smallest maximizer.  Raises BudgetError when
-    q**n exceeds the budget.
+    Returns (value, assignment): the exact optimum and its lexicographically
+    smallest maximizer.  Raises BudgetError when q**n exceeds the budget.
     """
     q, n = inst.family.q, inst.n
     check_assignment_budget(q, n, budget)
@@ -469,10 +454,8 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET, thr
         for c in inst.constraints
     ]
     total = inst.total_weight
-    threshold = to_fraction(threshold)
-    # ceil(threshold * total) in integers
-    stop = -(-threshold.numerator * total // threshold.denominator)
-    best_sat, best_assignment = _max_satisfied(q, n, compiled, stop)
+    # no assignment passes the total weight, so the stop keeps the first maximizer
+    best_sat, best_assignment = _max_satisfied(q, n, compiled, total)
     return Fraction(best_sat, total), best_assignment
 
 
@@ -693,17 +676,15 @@ def canonical_instance(inst: Instance) -> Instance:
 def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
     """The instances `rho_upper_empirical` evaluates, each as (n, picks).
 
-    A pick is a constraint as (predicate name, (weight, predicate, 0-based
-    scope)), the second part being the form `_max_satisfied` reads.  The
-    complete instances on k..n_max variables come first, then random
-    instances drawn with `rng` from each n's constraint universe at weights
-    1 and 2, built once per n.
+    A pick is a constraint in the (weight, predicate, 0-based scope) form
+    that `_max_satisfied` reads.  The complete instances on k..n_max
+    variables come first, then random instances drawn with `rng` from each
+    n's constraint universe at weights 1 and 2, built once per n.
     """
     universes = {}
     for t in range(fam.k, n_max + 1):
         universes[t] = tuple(
-            tuple((p.name, (weight, p, scope)) for weight in (1, 2))
-            for p, scope in _universe_scopes(fam, t)
+            tuple((weight, p, scope) for weight in (1, 2)) for p, scope in _universe_scopes(fam, t)
         )
         yield t, [pair[0] for pair in universes[t]]
     while True:
@@ -727,11 +708,11 @@ def rho_upper_empirical(
     variable count the stream reaches is checked against the default
     assignment budget before the first instance is evaluated.
 
-    Each exhaustive search gets the running minimum as its stop threshold:
-    an instance stops at its first assignment that reaches the minimum, since
-    it can no longer lower it, and an instance whose optimum is below the
-    minimum is enumerated in full and gives that exact optimum.  The minimum
-    is kept as an integer pair (satisfied weight, total weight).
+    Each exhaustive search stops at its first assignment that reaches the
+    running minimum, since that instance can no longer lower it; an instance
+    whose optimum is below the minimum is enumerated in full and gives that
+    exact optimum.  The minimum is kept as an integer pair (satisfied
+    weight, total weight).
     """
     n_max, budget = as_int(n_max, "n_max"), as_int(budget, "instance budget")
     seed = as_int(seed, "instance seed")
@@ -743,9 +724,8 @@ def rho_upper_empirical(
     for n in range(fam.k, min(n_max, fam.k + budget - 1) + 1):
         check_assignment_budget(fam.q, n, DEFAULT_ASSIGNMENT_BUDGET)
     best_sat, best_total = 1, 1
-    for n, picks in itertools.islice(_upper_stream(fam, n_max, random.Random(seed)), budget):
-        compiled = [entry for _, entry in picks]
-        total = sum(entry[0] for entry in compiled)
+    for n, compiled in itertools.islice(_upper_stream(fam, n_max, random.Random(seed)), budget):
+        total = sum(weight for weight, _, _ in compiled)
         # stop at ceil(best * total): an instance that reaches it cannot lower the minimum
         sat, _ = _max_satisfied(fam.q, n, compiled, -(-best_sat * total // best_total))
         if sat * best_total < best_sat * total:
@@ -777,25 +757,16 @@ def width(fam: PredicateFamily) -> WidthReport:
     """
     q, k = fam.q, fam.k
     detail = {}
-    family_width = None
     for pred in fam.predicates:
-        best_count = -1
-        best_base = None
-        for rank in range(q**k):
-            base = pred.tuple_of(rank)
-            count = 0
-            for a in range(q):
-                shifted = tuple((v + a) % q for v in base)
-                if pred.value(shifted):
-                    count += 1
-            if count > best_count:
-                best_count = count
-                best_base = base
-        pred_width = Fraction(best_count, q)
-        detail[pred.name] = PredicateWidth(pred_width, best_base)
-        if family_width is None or pred_width < family_width:
-            family_width = pred_width
-    return WidthReport(family_width, detail)
+        satisfying = set(pred.satisfying_tuples())
+
+        def shifts(base):
+            return sum(tuple((v + a) % q for v in base) in satisfying for a in range(q))
+
+        # `max` keeps the first maximizer, so the smallest base in lexicographic order
+        base = max(itertools.product(range(q), repeat=k), key=shifts)
+        detail[pred.name] = PredicateWidth(Fraction(shifts(base), q), base)
+    return WidthReport(min(entry.width for entry in detail.values()), detail)
 
 
 # Reference families used throughout the tests and documentation.

@@ -107,8 +107,8 @@ def record_upper_stream(monkeypatch):
     def recording(fam, *args):
         for n, picks in stream(fam, *args):
             seen.append(Instance(fam, n, tuple(
-                Constraint(name, tuple(v + 1 for v in scope), weight)
-                for name, (weight, _, scope) in picks
+                Constraint(pred.name, tuple(v + 1 for v in scope), weight)
+                for weight, pred, scope in picks
             )))
             yield n, picks
 

@@ -8,7 +8,9 @@ scan that `cspgap.core.rho_product_lower` must reproduce exactly, and
 `rho_upper_reference` the plain instance-by-instance replay that
 `cspgap.core.rho_upper_empirical` must reproduce exactly.
 `max_satisfied_reference` is the plain assignment-by-assignment loop that
-the lane search `cspgap.core._max_satisfied` must reproduce exactly.
+the lane search `cspgap.core._max_satisfied` must reproduce exactly, and
+`width_reference` the plain rank-by-rank loop that `cspgap.core.width`
+must reproduce exactly.
 """
 
 import random
@@ -29,7 +31,7 @@ from cspgap import (
     brute_force_opt,
     complete_instance,
 )
-from cspgap.core import compositions
+from cspgap.core import PredicateWidth, compositions
 
 
 def _solve_on_columns(rows, rhs, selected):
@@ -240,3 +242,23 @@ def max_satisfied_reference(q, n, compiled, stop) -> tuple:
             if sat >= stop:
                 break
     return best_sat, best
+
+
+def width_reference(fam):
+    """`cspgap.core.width` as a plain loop over the bases in rank order.
+
+    Each base counts the constant shifts whose tuple the predicate's table
+    accepts; a base replaces the best only on a strictly larger count.
+    Returns (family width, {name: PredicateWidth}).
+    """
+    q, k = fam.q, fam.k
+    detail = {}
+    for pred in fam.predicates:
+        best_count, best_base = -1, None
+        for rank in range(q**k):
+            base = pred.tuple_of(rank)
+            count = sum(pred.value(tuple((v + a) % q for v in base)) for a in range(q))
+            if count > best_count:
+                best_count, best_base = count, base
+        detail[pred.name] = PredicateWidth(Fraction(best_count, q), best_base)
+    return min(entry.width for entry in detail.values()), detail

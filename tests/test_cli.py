@@ -104,6 +104,22 @@ def test_lp_dump(triangle_file, tmp_path, capsys):
     assert "all variables >= 0" in text
 
 
+def test_lp_solve_refuses_an_over_budget_brute_force_before_the_relaxation(
+    tmp_path, monkeypatch, capsys
+):
+    def no_relaxation(problem):
+        raise AssertionError("relaxation solved")
+
+    monkeypatch.setattr(cspgap.lp, "solve", no_relaxation)
+    dump = tmp_path / "d.txt"
+    argv = ["lp-solve", str(DATA / "c5.json"), "--brute-force", "--budget", "4"]
+    assert main([*argv, "--dump-lp", str(dump)]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive search needs q^n = 32 assignments, budget is 4\n"
+    )
+    assert not dump.exists()
+
+
 def test_gap_check_exit_codes(triangle_file, tmp_path, capsys):
     assert main(["gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3"]) == 0
     capsys.readouterr()

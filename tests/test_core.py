@@ -40,7 +40,12 @@ from cspgap import (
     width,
 )
 from cspgap.core import digits_to_tuple, product_mass, tuple_to_digits
-from oracle import max_satisfied_reference, product_maximin_reference, rho_upper_reference
+from oracle import (
+    max_satisfied_reference,
+    product_maximin_reference,
+    rho_upper_reference,
+    width_reference,
+)
 
 
 def test_predicate_table_round_trip():
@@ -281,28 +286,14 @@ def weighted_instance(draw, qs, max_n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_brute_force_stop_threshold_against_enumeration(data):
-    # At the default threshold: the optimum and its lexicographically smallest
-    # maximizer.  At threshold t: the optimum when it is below t, else the
-    # first assignment in lexicographic order whose value reaches t.
-    inst = data.draw(weighted_instance((2, 3, 4), 4), label="instance")
+@given(inst=weighted_instance((2, 3, 4), 4))
+def test_brute_force_is_the_optimum_and_its_smallest_maximizer(inst):
+    # Against full enumeration: the optimum and its lexicographically
+    # smallest maximizer.
     q, n = inst.family.q, inst.n
     values = {a: csp_value(inst, a) for a in itertools.product(range(q), repeat=n)}
     optimum = max(values.values())
-    exact = brute_force_opt(inst)
-    assert exact == (optimum, min(a for a, v in values.items() if v == optimum))
-    threshold = data.draw(st.one_of(
-        st.fractions(min_value=0, max_value=1, max_denominator=24),
-        st.sampled_from(sorted(set(values.values()))),
-    ), label="threshold")
-    value, witness = brute_force_opt(inst, threshold=threshold)
-    if optimum < threshold:
-        assert (value, witness) == exact
-    else:
-        assert value >= threshold
-        assert csp_value(inst, witness) == value
-        assert witness == min(a for a, v in values.items() if v >= threshold)
+    assert brute_force_opt(inst) == (optimum, min(a for a, v in values.items() if v == optimum))
 
 
 @st.composite
@@ -677,6 +668,30 @@ def test_width_shift_invariance():
             for c in range(q):
                 shifted = tuple((v + c) % q for v in base)
                 assert b_width(base) == b_width(shifted)
+
+
+@st.composite
+def width_families(draw):
+    """A family with q <= 4, k <= 3 and one to three tables, all-0 and all-1 among them."""
+    q, k = draw(st.integers(2, 4), label="q"), draw(st.integers(1, 3), label="k")
+    table = st.one_of(
+        st.just((0,) * q**k),
+        st.just((1,) * q**k),
+        st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple),
+    )
+    tables = draw(st.lists(table, min_size=1, max_size=3), label="tables")
+    return PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=width_families())
+def test_width_matches_its_reference_loop(fam):
+    # `WidthReport` equality reads only `value`, so the bases are compared
+    # through `per_predicate` explicitly.
+    report = width(fam)
+    value, per_predicate = width_reference(fam)
+    assert report.value == value
+    assert report.per_predicate == per_predicate
 
 
 def test_complete_instance_layout():
