@@ -93,22 +93,21 @@ class LocalDistributionSolution:
                 raise ValidationError(f"marginal of variable {i + 1} does not sum to 1")
             int_marginals.append(int_marg)
         satisfied = 0  # sum of weight * satisfying mass, over den
-        for ci, constraint in enumerate(inst.constraints):
+        for ci, (weight, pred, scope) in enumerate(inst.compiled):
             masses = {a: v.numerator * (den // v.denominator) for a, v in locals_[ci].items()}
             if any(v < 0 for v in masses.values()):
                 raise ValidationError(f"local distribution {ci} has a negative entry")
             if sum(masses.values()) != den:
                 raise ValidationError(f"local distribution {ci} does not sum to 1")
             rows = positional_marginals(masses.items(), q, k, zero=0)
-            for pos, variable in enumerate(constraint.variables):
+            for pos, variable in enumerate(scope):
                 for symbol in range(q):
-                    if rows[pos][symbol] != int_marginals[variable - 1][symbol]:
+                    if rows[pos][symbol] != int_marginals[variable][symbol]:
                         raise ValidationError(
                             f"constraint {ci} position {pos} disagrees with the"
-                            f" marginal of variable {variable} at symbol {symbol}"
+                            f" marginal of variable {variable + 1} at symbol {symbol}"
                         )
-            pred = inst.family[constraint.predicate]
-            satisfied += constraint.weight * sum(v for a, v in masses.items() if pred.value(a))
+            satisfied += weight * sum(v for a, v in masses.items() if pred.value(a))
         value_num, value_den = self.value.as_integer_ratio()
         if satisfied * value_den != value_num * inst.total_weight * den:
             objective = Fraction(satisfied, inst.total_weight * den)
@@ -139,23 +138,18 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
 
     one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
     objective = [zero] * num_vars
-    weight_total = inst.total_weight
-    for ci, constraint in enumerate(inst.constraints):
-        share = Fraction(constraint.weight, weight_total)
-        table = fam[constraint.predicate].table
-        base = num_x + ci * size
-        for rank, bit in enumerate(table):
-            if bit:
-                objective[base + rank] = share
-
     rows = [{i * q + b: one for b in range(q)} for i in range(n)]
     rhs = [one] * n
-    for ci, constraint in enumerate(inst.constraints):
+    for ci, (weight, pred, scope) in enumerate(inst.compiled):
         base = num_x + ci * size
-        for pos, variable in enumerate(constraint.variables):
+        share = Fraction(weight, inst.total_weight)
+        for rank, bit in enumerate(pred.table):
+            if bit:
+                objective[base + rank] = share
+        for pos, v in enumerate(scope):
             for symbol in range(q):
                 row = {base + rank: one for rank, a in enumerate(cube) if a[pos] == symbol}
-                row[(variable - 1) * q + symbol] = minus_one
+                row[v * q + symbol] = minus_one
                 rows.append(row)
                 rhs.append(zero)
     return lp.LpProblem(objective, rows, rhs, labels)
@@ -202,10 +196,9 @@ def unit_dual(inst: Instance) -> tuple:
     """
     q, k, n = inst.family.q, inst.family.k, inst.n
     y = [Fraction(0)] * (n + inst.m * k * q)
-    weight_total = inst.total_weight
-    for ci, constraint in enumerate(inst.constraints):
-        share = Fraction(constraint.weight, weight_total)
-        y[constraint.variables[0] - 1] += share
+    for ci, (weight, _, scope) in enumerate(inst.compiled):
+        share = Fraction(weight, inst.total_weight)
+        y[scope[0]] += share
         start = n + ci * k * q  # rows of (constraint ci, position 0, symbol 0..q-1)
         y[start:start + q] = [share] * q
     return tuple(y)
@@ -272,7 +265,7 @@ def point_mass_solution(inst: Instance, assignment) -> LocalDistributionSolution
         row = [Fraction(0)] * q
         row[v] = Fraction(1)
         marginals.append(tuple(row))
-    maps = [{tuple(assignment[v - 1] for v in c.variables): Fraction(1)} for c in inst.constraints]
+    maps = [{tuple(assignment[v] for v in scope): Fraction(1)} for _, _, scope in inst.compiled]
     return LocalDistributionSolution(inst, maps, tuple(marginals), value)
 
 

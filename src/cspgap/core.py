@@ -200,6 +200,10 @@ class Instance:
     Variable indices are 1-based and must be pairwise distinct within each
     constraint; predicates needing repeated variables have to be added to the
     family as explicit lower-arity tables instead.
+
+    `compiled` holds each constraint, in order, as (weight, predicate,
+    0-based variable indices): the one form every exact evaluator reads.
+    It and `total_weight` are worked out once, on first use.
     """
 
     family: PredicateFamily
@@ -237,7 +241,14 @@ class Instance:
     def m(self) -> int:
         return len(self.constraints)
 
-    @property
+    @functools.cached_property
+    def compiled(self) -> tuple:
+        return tuple(
+            (c.weight, self.family[c.predicate], tuple(v - 1 for v in c.variables))
+            for c in self.constraints
+        )
+
+    @functools.cached_property
     def total_weight(self) -> int:
         return sum(c.weight for c in self.constraints)
 
@@ -257,11 +268,9 @@ def _check_assignment(inst: Instance, assignment) -> tuple:
 def csp_value(inst: Instance, assignment) -> Fraction:
     """Fraction of constraint weight satisfied by the assignment (exact)."""
     a = _check_assignment(inst, assignment)
-    satisfied = 0
-    for c in inst.constraints:
-        pred = inst.family[c.predicate]
-        if pred.value(tuple(a[v - 1] for v in c.variables)):
-            satisfied += c.weight
+    satisfied = sum(
+        weight for weight, pred, scope in inst.compiled if pred.value(tuple(a[v] for v in scope))
+    )
     return Fraction(satisfied, inst.total_weight)
 
 
@@ -449,13 +458,9 @@ def brute_force_opt(inst: Instance, budget: int = DEFAULT_ASSIGNMENT_BUDGET):
     """
     q, n = inst.family.q, inst.n
     check_assignment_budget(q, n, budget)
-    compiled = [
-        (c.weight, inst.family[c.predicate], tuple(v - 1 for v in c.variables))
-        for c in inst.constraints
-    ]
     total = inst.total_weight
     # no assignment passes the total weight, so the stop keeps the first maximizer
-    best_sat, best_assignment = _max_satisfied(q, n, compiled, total)
+    best_sat, best_assignment = _max_satisfied(q, n, inst.compiled, total)
     return Fraction(best_sat, total), best_assignment
 
 

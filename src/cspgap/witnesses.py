@@ -254,18 +254,17 @@ def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
         raise ValidationError("the solution belongs to a different instance")
     fam = inst.family
     q, k = fam.q, fam.k
-    weight_total = inst.total_weight
     yes_mass = {}
     no_mass = {}
-    for ci, constraint in enumerate(inst.constraints):
-        share = Fraction(constraint.weight, weight_total)
+    for ci, (weight, pred, scope) in enumerate(inst.compiled):
+        share = Fraction(weight, inst.total_weight)
         for values, mass in sol.locals_[ci].items():
-            key = (constraint.predicate, values)
+            key = (pred.name, values)
             yes_mass[key] = yes_mass.get(key, Fraction(0)) + share * mass
-        marginals = [sol.marginals[v - 1] for v in constraint.variables]
+        marginals = [sol.marginals[v] for v in scope]
         for values in itertools.product(range(q), repeat=k):
             if prob := product_mass((values,), marginals, share):
-                key = (constraint.predicate, values)
+                key = (pred.name, values)
                 no_mass[key] = no_mass.get(key, Fraction(0)) + prob
     yes_dist = PairDistribution(fam, yes_mass)
     no_dist = PairDistribution(fam, no_mass)
