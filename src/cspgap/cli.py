@@ -30,6 +30,8 @@ def _emit(data: dict, as_json: bool) -> None:
 def cmd_family_stats(args) -> int:
     fam = serialize.load_family(args.family)
     precision = parse_rational(args.precision)
+    # refuse the upper bound's flags before the lattice scan, which takes seconds at q >= 3
+    core.check_upper_empirical(fam, args.n_max, args.budget, args.seed)
     lower = core.rho_product_lower(fam, precision)
     upper = core.rho_upper_empirical(
         fam, n_max=args.n_max, budget=args.budget, seed=args.seed
@@ -63,9 +65,10 @@ def cmd_lp_solve(args) -> int:
     inst = serialize.load_instance(args.instance)
     if args.brute_force:  # refuse an over-budget search before any LP work
         core.check_assignment_budget(inst.family.q, inst.n, args.budget)
-    if args.dump_lp:
+    if args.dump_lp:  # built before the file opens, so a refused relaxation writes none
+        text = lp.dump_lp(basic_lp.build_basic_lp(inst)) + "\n"
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
-            handle.write(lp.dump_lp(basic_lp.build_basic_lp(inst)) + "\n")
+            handle.write(text)
     sol = basic_lp.solve_basic_lp(inst)
     data = {"lp_value": format_rational(sol.value)}
     if args.brute_force:

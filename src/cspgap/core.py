@@ -7,6 +7,12 @@ most significant.  Constraints apply a named predicate to a tuple of distinct
 assignment is the satisfied fraction of the total weight, always an exact
 Fraction in [0, 1].
 
+An `Instance` works out once, on first use, its total weight and its
+compiled form, `Instance.compiled`: each constraint as (weight, predicate,
+0-based variable indices).  That form is the one every exact evaluator
+reads: brute force and `csp_value` here, the relaxation, its dual and its
+solution check in `basic_lp`, and the yes/no pair in `witnesses`.
+
 Besides the data model this module computes brute-force optima, the two
 sides of the trivial-threshold bracket (best i.i.d. product assignment from
 below, cheapest enumerated instance from above), and shift widths over the
@@ -14,7 +20,8 @@ additive group Z_q.  Both brute-force optima and the bracket's upper end
 come from one exhaustive search, `_max_satisfied`, which scores blocks of
 assignments at once in the lanes of a Python integer: one lane per
 assignment, one 0/1 lane mask per constraint, and one weighted sum of masks
-per block.
+per block.  An enumeration refuses a variable count whose q^n or constraint
+universe exceeds `DEFAULT_ASSIGNMENT_BUDGET` before it builds either.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from fractions import Fraction
 from .errors import BudgetError, ValidationError
 from .rationals import as_int, int_tuple, to_fraction
 
-# Ceiling on q**n for exhaustive assignment enumeration.
+# Ceiling on q**n for exhaustive assignment enumeration, and on the
+# constraints of a universe that a search enumerates.
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
 # Ceiling on the lattice lines `rho_product_lower` scans: q = 4 at the
@@ -202,8 +210,7 @@ class Instance:
     family as explicit lower-arity tables instead.
 
     `compiled` holds each constraint, in order, as (weight, predicate,
-    0-based variable indices): the one form every exact evaluator reads.
-    It and `total_weight` are worked out once, on first use.
+    0-based variable indices); it and `total_weight` are worked out once.
     """
 
     family: PredicateFamily
@@ -617,6 +624,20 @@ def _universe_scopes(fam: PredicateFamily, n: int):
     )
 
 
+def check_universe_budget(fam: PredicateFamily, n: int) -> None:
+    """Raise BudgetError unless q^n and n's universe size both fit DEFAULT_ASSIGNMENT_BUDGET.
+
+    The universe has |F| * n!/(n - k)! constraints; neither it nor q^n is built.
+    """
+    check_assignment_budget(fam.q, n, DEFAULT_ASSIGNMENT_BUDGET)
+    size = len(fam.predicates) * math.perm(n, fam.k)
+    if size > DEFAULT_ASSIGNMENT_BUDGET:
+        raise BudgetError(
+            f"the constraint universe on n = {n} variables has {size} constraints,"
+            f" budget is {DEFAULT_ASSIGNMENT_BUDGET}"
+        )
+
+
 def constraint_universe(fam: PredicateFamily, n: int) -> tuple:
     """All unit-weight constraints on n variables, in canonical order."""
     return tuple(
@@ -698,6 +719,24 @@ def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
         yield n, [rng.choice(universes[n])[rng.randint(1, 2) - 1] for _ in range(m)]
 
 
+def check_upper_empirical(fam: PredicateFamily, n_max: int, budget: int, seed: int = 0) -> tuple:
+    """(n_max, budget, seed) as ints, or the error `rho_upper_empirical` would raise for them.
+
+    Every variable count the first `budget` instances reach, n = k..k +
+    budget - 1 at most, is checked with `check_universe_budget`, so no
+    instance is searched and no universe built before a refusal.
+    """
+    n_max, budget = as_int(n_max, "n_max"), as_int(budget, "instance budget")
+    seed = as_int(seed, "instance seed")
+    if n_max < fam.k:
+        raise ValidationError(f"need n_max >= k = {fam.k}, got {n_max}")
+    if budget < 1:
+        raise BudgetError("budget exhausted before any instance was evaluated")
+    for n in range(fam.k, min(n_max, fam.k + budget - 1) + 1):
+        check_universe_budget(fam, n)
+    return n_max, budget, seed
+
+
 def rho_upper_empirical(
     fam: PredicateFamily,
     n_max: int,
@@ -709,9 +748,9 @@ def rho_upper_empirical(
     Evaluates the complete instances on k..n_max variables first, then seeded
     random instances until the evaluation budget is spent, and returns the
     minimum brute-force optimum seen.  Any instance's optimum upper-bounds the
-    limiting infimum, so the result is always a valid upper bound.  Every
-    variable count the stream reaches is checked against the default
-    assignment budget before the first instance is evaluated.
+    limiting infimum, so the result is always a valid upper bound.  The
+    arguments pass `check_upper_empirical` before the first instance is
+    evaluated.
 
     Each exhaustive search stops at its first assignment that reaches the
     running minimum, since that instance can no longer lower it; an instance
@@ -719,15 +758,7 @@ def rho_upper_empirical(
     exact optimum.  The minimum is kept as an integer pair (satisfied
     weight, total weight).
     """
-    n_max, budget = as_int(n_max, "n_max"), as_int(budget, "instance budget")
-    seed = as_int(seed, "instance seed")
-    if n_max < fam.k:
-        raise ValidationError(f"need n_max >= k = {fam.k}, got {n_max}")
-    if budget < 1:
-        raise BudgetError("budget exhausted before any instance was evaluated")
-    # the stream's first `budget` instances reach n = k..k + budget - 1 at most
-    for n in range(fam.k, min(n_max, fam.k + budget - 1) + 1):
-        check_assignment_budget(fam.q, n, DEFAULT_ASSIGNMENT_BUDGET)
+    n_max, budget, seed = check_upper_empirical(fam, n_max, budget, seed)
     best_sat, best_total = 1, 1
     for n, compiled in itertools.islice(_upper_stream(fam, n_max, random.Random(seed)), budget):
         total = sum(weight for weight, _, _ in compiled)

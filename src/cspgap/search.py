@@ -34,7 +34,7 @@ from .core import (
     PredicateFamily,
     brute_force_opt,
     canonical_instance,
-    check_assignment_budget,
+    check_universe_budget,
     constraint_universe,
     csp_value,
 )
@@ -104,11 +104,12 @@ def enumerate_instances(cfg: SearchConfig):
     Exhaustive mode yields every constraint multiset (sorted constraint
     lists, unit weights) over each variable count, in lexicographic order;
     random mode yields seeded uniform samples from the same universe.  A
-    count whose q^n exceeds the brute-force budget raises `BudgetError` first.
+    count whose q^n or universe size exceeds the default assignment budget
+    raises `BudgetError` before its universe is built.
     """
     if cfg.mode == EXHAUSTIVE:
         for n in range(cfg.n_min, cfg.n_max + 1):
-            check_assignment_budget(cfg.family.q, n, DEFAULT_ASSIGNMENT_BUDGET)
+            check_universe_budget(cfg.family, n)
             universe = constraint_universe(cfg.family, n)
             for m in range(1, cfg.max_constraints + 1):
                 for combo in itertools.combinations_with_replacement(universe, m):
@@ -119,7 +120,7 @@ def enumerate_instances(cfg: SearchConfig):
         while True:
             n = rng.randint(cfg.n_min, cfg.n_max)
             if n not in universes:
-                check_assignment_budget(cfg.family.q, n, DEFAULT_ASSIGNMENT_BUDGET)
+                check_universe_budget(cfg.family, n)
                 universes[n] = constraint_universe(cfg.family, n)
             universe = universes[n]
             m = rng.randint(1, cfg.max_constraints)

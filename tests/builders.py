@@ -27,6 +27,13 @@ def run_cli(args):
     )
 
 
+# What the solution check says when the 5-cycle's uniform solution sets
+# variable 3 to 0: constraints and positions count from 0, variables from 1.
+MARGINAL_MISS = (
+    "constraint 1 position 1 disagrees with the marginal of variable 3 at symbol 0"
+)
+
+
 def cycle_instance(n, fam=None, name="cut"):
     fam = fam or cut_family()
     constraints = tuple(Constraint(name, (i, i % n + 1)) for i in range(1, n + 1))

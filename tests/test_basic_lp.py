@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import cycle_instance, dense_rows, random_instance, seeded, single_edge, triangle
+from builders import (
+    MARGINAL_MISS,
+    cycle_instance,
+    dense_rows,
+    random_instance,
+    seeded,
+    single_edge,
+    triangle,
+)
 import cspgap.lp
 from cspgap import (
     BudgetError,
@@ -222,6 +230,18 @@ def test_verify_rejects_broken_solutions():
         LocalDistributionSolution(inst, broken_locals, sol.marginals, sol.value)
     with pytest.raises(ValidationError, match="stated objective"):
         LocalDistributionSolution(inst, sol.locals_, sol.marginals, sol.value - Fraction(1, 7))
+
+
+def test_marginal_miss_names_the_variable_from_one_and_the_constraint_from_zero():
+    # the 5-cycle's uniform value-1 solution, but variable 3 is set to 0: the
+    # first constraint to read it is (2, 3), index 1, at position 1
+    half = Fraction(1, 2)
+    marginals = [(half, half)] * 5
+    marginals[2] = (Fraction(1), Fraction(0))
+    maps = [{(0, 1): half, (1, 0): half}] * 5
+    with pytest.raises(ValidationError) as info:
+        LocalDistributionSolution(cycle_instance(5), maps, marginals, 1)
+    assert str(info.value) == MARGINAL_MISS
 
 
 HALVES = [{(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}] * 3

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import cspgap.core
 import cspgap.lp
 import cspgap.search
-from builders import run_cli, triangle
+from builders import MARGINAL_MISS, run_cli, triangle
 from cspgap import (
     Constraint,
     Instance,
@@ -29,6 +29,7 @@ from cspgap import (
     dicut_family,
     gap_report,
 )
+from cspgap.basic_lp import RELAXATION_CELL_BUDGET
 from cspgap.cli import main
 from cspgap.core import LATTICE_LINE_BUDGET, rho_product_lower
 from cspgap.serialize import (
@@ -120,6 +121,26 @@ def test_lp_solve_refuses_an_over_budget_brute_force_before_the_relaxation(
     assert not dump.exists()
 
 
+def test_lp_solve_refuses_a_relaxation_over_the_cell_budget(tmp_path, monkeypatch, capsys):
+    def no_relaxation(problem):
+        raise AssertionError("relaxation solved")
+
+    monkeypatch.setattr(cspgap.lp, "solve", no_relaxation)
+    path = tmp_path / "huge.json"
+    huge = Instance(cut_family(), 10**9, (Constraint("cut", (1, 2)),))
+    path.write_text(canonical_dumps(instance_to_dict(huge)))
+    dump = tmp_path / "d.txt"
+    for extra in ([], ["--dump-lp", str(dump)]):
+        assert main(["lp-solve", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the relaxation has 1000000004 rows and 2000000004 columns, a tableau of"
+            f" 3000000024000000045 cells; budget is {RELAXATION_CELL_BUDGET}\n"
+        )
+    assert not dump.exists()
+
+
 def test_gap_check_exit_codes(triangle_file, tmp_path, capsys):
     assert main(["gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3"]) == 0
     capsys.readouterr()
@@ -187,6 +208,59 @@ def test_family_stats_refuses_an_over_budget_n_before_any_search(monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["rho_upper"] == "2/3"
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["gap-search", "--family", "{}", "--gamma", "1", "--beta", "1/2", "--n-min", "11",
+      "--n-max", "11", "--budget", "10"], 11),
+    (["gap-search", "--family", "{}", "--gamma", "1", "--beta", "1/2", "--n-min", "11",
+      "--n-max", "11", "--budget", "10", "--mode", "random"], 11),
+    (["family-stats", "{}", "--n-max", "12", "--budget", "20"], 10),
+], ids=["exhaustive", "random", "family-stats"])
+def test_a_constraint_universe_over_budget_is_refused_before_it_is_built(
+    argv, n, tmp_path, monkeypatch, capsys
+):
+    # one q = 2, k = 8 predicate: n!/(n - 8)! constraints, 1814400 at n = 10
+    path = tmp_path / "k8.json"
+    parity = tuple(bin(rank).count("1") % 2 for rank in range(256))
+    path.write_text(canonical_dumps(family_to_dict(
+        PredicateFamily((Predicate(2, 8, "parity", parity),))
+    )))
+
+    def refused(*args):
+        raise AssertionError("searched or built")
+
+    monkeypatch.setattr(cspgap.core, "_max_satisfied", refused)
+    monkeypatch.setattr(cspgap.search, "constraint_universe", refused)
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the constraint universe on n = {n} variables has {comb(n, 8) * 40320}"
+        " constraints, budget is 1048576\n"
+    )
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-max", "1"], "need n_max >= k = 2, got 1"),
+    (["--budget", "0"], "budget exhausted before any instance was evaluated"),
+    (["--n-max", "11"], "exhaustive search needs q^n = 4194304 assignments, budget is 1048576"),
+], ids=["n-max-below-k", "no-budget", "n-max-over-budget"])
+def test_family_stats_checks_its_enumeration_flags_before_the_lattice_scan(
+    flags, message, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "q4.json"
+    lt = Predicate(4, 2, "lt", tuple(int(a < b) for a in range(4) for b in range(4)))
+    path.write_text(canonical_dumps(family_to_dict(
+        PredicateFamily((*neq_family(4).predicates, lt))
+    )))
+
+    def no_scan(*args):
+        raise AssertionError("lattice scanned")
+
+    monkeypatch.setattr(cspgap.core, "rho_product_lower", no_scan)
+    assert main(["family-stats", str(path), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_family_stats_searches_twenty_variables(capsys):
     # the complete instances on 2..20 variables: 2^20 assignments at n = 20
     argv = ["family-stats", str(DATA / "cut_family.json"), "--json", "--n-max", "20"]
@@ -211,6 +285,21 @@ def test_family_stats_refuses_a_lattice_over_budget(tmp_path, capsys):
     # q = 4 at 1/64 has C(258, 2) = 33153 lines, under the budget.
     assert comb(258, 2) == 33153 <= LATTICE_LINE_BUDGET
     assert rho_product_lower(neq_family(4), Fraction(1, 64)) == Fraction(3, 4)
+
+
+def test_verify_cert_names_a_marginal_miss_as_the_solution_check_does(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    argv = ["gap-check", str(DATA / "c5.json"), "--gamma", "1/1", "--beta", "4/5"]
+    assert main([*argv, "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    data = json.loads(cert_path.read_text())
+    assert data["solution"]["marginals"][2] == ["1/2", "1/2"]
+    data["solution"]["marginals"][2] = ["1/1", "0/1"]  # variable 3 set to 0
+    cert_path.write_text(canonical_dumps(data))
+    assert main(["verify-cert", str(cert_path)]) == 2
+    # the loader wraps the check's ValidationError, message and all
+    expected = f"error: malformed certificate: ValidationError({MARGINAL_MISS!r})\n"
+    assert capsys.readouterr() == ("", expected)
 
 
 def test_missing_file_is_operational_error(capsys):
