@@ -18,9 +18,10 @@ and `decode_primal`) orders [q]^k by rank.
 
 The relaxation, `unit_dual`, the solution check and the point-mass solution
 read each constraint from `Instance.compiled`, with 0-based variables; LP
-labels and messages still number variables from 1.  A relaxation whose
-dense simplex tableau would pass `RELAXATION_CELL_BUDGET` cells is refused
-before it is built.
+labels and messages still number variables from 1.  `solve_basic_lp`
+refuses a relaxation whose simplex tableau would pass
+`lp.TABLEAU_CELL_BUDGET` cells before it builds it.  `build_basic_lp` and
+`unit_optimum`, which build no tableau, take a relaxation of any size.
 """
 
 from __future__ import annotations
@@ -41,14 +42,8 @@ from .core import (
     tuple_to_digits,
     width,
 )
-from .errors import BudgetError, InternalError, ValidationError
+from .errors import InternalError, ValidationError
 from .rationals import mapping_items, to_fraction
-
-# Most cells of the dense simplex tableau a relaxation may need: one row per
-# LP row and one for the costs, one column per LP variable and per LP row,
-# and the right-hand side.  Every relaxation of the tests and the benchmark
-# takes under 10^4 cells.
-RELAXATION_CELL_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -135,23 +130,14 @@ def build_basic_lp(inst: Instance) -> lp.LpProblem:
     constraint/tuple pair (labels carry the coordinates).  Rows: one simplex
     row per variable, and one marginal-consistency row per (constraint,
     position, symbol).  The objective weights each satisfying tuple's mass
-    by the constraint's share of the total weight.  A relaxation whose
-    tableau would pass `RELAXATION_CELL_BUDGET` cells raises `BudgetError`
-    before any label or row is built.
+    by the constraint's share of the total weight.
     """
     fam = inst.family
     q, k, n = fam.q, fam.k, inst.n
-    size = q**k
+    cube = list(itertools.product(range(q), repeat=k))  # column order: rank order of index_of
+    size = len(cube)
     num_x = n * q
     num_vars = num_x + inst.m * size
-    num_rows = n + inst.m * k * q
-    cells = (num_rows + 1) * (num_vars + num_rows + 1)
-    if cells > RELAXATION_CELL_BUDGET:
-        raise BudgetError(
-            f"the relaxation has {num_rows} rows and {num_vars} columns, a tableau of"
-            f" {cells} cells; budget is {RELAXATION_CELL_BUDGET}"
-        )
-    cube = list(itertools.product(range(q), repeat=k))  # column order: rank order of index_of
 
     spelled = [tuple_to_digits(a) for a in cube]
     labels = [f"x[{i},{b}]" for i in range(1, n + 1) for b in range(q)]
@@ -194,7 +180,14 @@ def decode_primal(inst: Instance, primal: dict, value: Fraction) -> LocalDistrib
 
 
 def solve_basic_lp(inst: Instance) -> LocalDistributionSolution:
-    """Exact optimum of the relaxation, decoded and verified."""
+    """Exact optimum of the relaxation, decoded and verified.
+
+    A relaxation whose tableau would pass `lp.TABLEAU_CELL_BUDGET` cells
+    raises `BudgetError` before it is built: the shape of `build_basic_lp`
+    follows from n, m, q and k alone.
+    """
+    q, k = inst.family.q, inst.family.k
+    lp.check_tableau_size(inst.n * q + inst.m * q**k, inst.n + inst.m * k * q)
     problem = build_basic_lp(inst)
     solution = lp.solve(problem)
     if solution.status != lp.OPTIMAL:

@@ -65,11 +65,10 @@ def cmd_lp_solve(args) -> int:
     inst = serialize.load_instance(args.instance)
     if args.brute_force:  # refuse an over-budget search before any LP work
         core.check_assignment_budget(inst.family.q, inst.n, args.budget)
-    if args.dump_lp:  # built before the file opens, so a refused relaxation writes none
-        text = lp.dump_lp(basic_lp.build_basic_lp(inst)) + "\n"
+    sol = basic_lp.solve_basic_lp(inst)  # refuses an oversized relaxation before any file
+    if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    sol = basic_lp.solve_basic_lp(inst)
+            handle.write(lp.dump_lp(basic_lp.build_basic_lp(inst)) + "\n")
     data = {"lp_value": format_rational(sol.value)}
     if args.brute_force:
         value, witness = core.brute_force_opt(inst, budget=args.budget)

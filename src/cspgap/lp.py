@@ -33,12 +33,16 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
-from .errors import InternalError, ValidationError
+from .errors import BudgetError, InternalError, ValidationError
 from .rationals import format_rational, int_tuple, mapping_items, to_fraction
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# Most cells a simplex tableau may hold.  Every LP of the tests and the
+# benchmark takes under 10^4 cells.
+TABLEAU_CELL_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,22 @@ def _eliminate(target: list, den: int, f: int, row: list, a: int, support):
     return new, den
 
 
+def check_tableau_size(num_variables: int, num_rows: int) -> None:
+    """Raise BudgetError when the tableau of such a problem passes `TABLEAU_CELL_BUDGET` cells.
+
+    The tableau (`_Tableau`) has a row per problem row and the cost row, and
+    a column per variable and per row (its artificial) and the right-hand
+    side.  A caller that knows the shape before it builds the problem checks
+    it first; `solve` and `check_feasible` check every problem.
+    """
+    cells = (num_rows + 1) * (num_variables + num_rows + 1)
+    if cells > TABLEAU_CELL_BUDGET:
+        raise BudgetError(
+            f"the LP has {num_rows} rows and {num_variables} columns, a tableau of"
+            f" {cells} cells; budget is {TABLEAU_CELL_BUDGET}"
+        )
+
+
 class _Tableau:
     """Fraction-free simplex tableau.
 
@@ -175,6 +195,7 @@ class _Tableau:
     """
 
     def __init__(self, problem: LpProblem):
+        check_tableau_size(problem.num_variables, problem.num_rows)
         self.n = problem.num_variables
         self.m = problem.num_rows
         self.ncols = self.n + self.m

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 import cspgap.core
 import cspgap.lp
 import cspgap.search
-from builders import MARGINAL_MISS, run_cli, triangle
+from builders import MARGINAL_MISS, cycle_instance, run_cli, triangle
 from cspgap import (
+    BudgetError,
     Constraint,
+    GapReport,
     Instance,
     Predicate,
     PredicateFamily,
@@ -28,8 +30,9 @@ from cspgap import (
     cut_family,
     dicut_family,
     gap_report,
+    lp_from_width,
+    solve_basic_lp,
 )
-from cspgap.basic_lp import RELAXATION_CELL_BUDGET
 from cspgap.cli import main
 from cspgap.core import LATTICE_LINE_BUDGET, rho_product_lower
 from cspgap.serialize import (
@@ -135,10 +138,23 @@ def test_lp_solve_refuses_a_relaxation_over_the_cell_budget(tmp_path, monkeypatc
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the relaxation has 1000000004 rows and 2000000004 columns, a tableau of"
-            f" 3000000024000000045 cells; budget is {RELAXATION_CELL_BUDGET}\n"
+            "error: the LP has 1000000004 rows and 2000000004 columns, a tableau of"
+            f" 3000000024000000045 cells; budget is {cspgap.lp.TABLEAU_CELL_BUDGET}\n"
         )
     assert not dump.exists()
+
+
+def test_verify_cert_proves_a_unit_optimum_whose_tableau_is_over_the_budget(tmp_path, capsys):
+    # the 301-cycle: 1505 rows and 1806 columns, so only a simplex run is refused
+    inst = cycle_instance(301)
+    with pytest.raises(BudgetError, match="a tableau of 4987872 cells"):
+        solve_basic_lp(inst)
+    alternating = tuple(i % 2 for i in range(301))
+    report = GapReport(inst, Fraction(1), Fraction(300, 301), alternating, lp_from_width(inst))
+    path = tmp_path / "c301.json"
+    cspgap.search.save_certificate(str(path), build_certificate(report, 1, Fraction(300, 301)))
+    assert main(["verify-cert", str(path)]) == 0
+    assert capsys.readouterr() == ("PASS (csp bound not re-derived: budget)\n", "")
 
 
 def test_gap_check_exit_codes(triangle_file, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cspgap.lp
 from builders import cycle_instance, dense_lp, dense_rows, random_lp, seeded, single_edge
 from oracle import vertex_enum_oracle
 from cspgap import (
@@ -34,6 +35,18 @@ def test_problem_validation():
         LpProblem((1, 2), (), (1,), ("a", "b"))
     with pytest.raises(ValidationError):
         LpProblem((1, 2), ((1, 2),), (1,), ("a", "a"))
+
+
+def test_a_tableau_over_the_budget_is_refused_before_it_is_built(monkeypatch):
+    # one row and two variables: a tableau of 2 x 4 cells
+    problem = LpProblem((1, 0), ({0: 1, 1: 1},), (1,), ("a", "b"))
+    monkeypatch.setattr(cspgap.lp, "TABLEAU_CELL_BUDGET", 7)
+    for run in (solve, check_feasible):
+        message = "^the LP has 1 rows and 2 columns, a tableau of 8 cells; budget is 7$"
+        with pytest.raises(BudgetError, match=message):
+            run(problem)
+    monkeypatch.setattr(cspgap.lp, "TABLEAU_CELL_BUDGET", 8)
+    assert solve(problem).value == 1
 
 
 @pytest.mark.parametrize(
