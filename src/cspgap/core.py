@@ -15,13 +15,14 @@ solution check in `basic_lp`, and the yes/no pair in `witnesses`.
 
 Besides the data model this module computes brute-force optima, the two
 sides of the trivial-threshold bracket (best i.i.d. product assignment from
-below, cheapest enumerated instance from above), and shift widths over the
-additive group Z_q.  Both brute-force optima and the bracket's upper end
-come from one exhaustive search, `_max_satisfied`, which scores blocks of
-assignments at once in the lanes of a Python integer: one lane per
-assignment, one 0/1 lane mask per constraint, and one weighted sum of masks
-per block.  An enumeration refuses a variable count whose q^n or constraint
-universe exceeds `DEFAULT_ASSIGNMENT_BUDGET` before it builds either.
+below, scanned by forward differences along lattice lines; cheapest
+enumerated instance from above), and shift widths over the additive group
+Z_q.  Both brute-force optima and the bracket's upper end come from one
+exhaustive search, `_max_satisfied`, which scores blocks of assignments at
+once in the lanes of a Python integer: one lane per assignment, one 0/1 lane
+mask per constraint, and one weighted sum of masks per block.  An
+enumeration refuses a variable count whose q^n or constraint universe
+exceeds `DEFAULT_ASSIGNMENT_BUDGET` before it builds either.
 """
 
 from __future__ import annotations
@@ -528,11 +529,13 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
 
     A point with lattice counts c on denominator N gives each predicate the
     integer mass N**k * E[f], and the best minimum is kept as such a mass.
-    The grid is scanned one lattice line (*head, t, rest - t) at a time, in
-    the lexicographic order of `compositions`: along a line each mass is a
-    polynomial of degree <= k in t, so min(k, rest) + 1 `product_mass` calls
-    give its forward differences at t = 0 and running sums give it at every
-    t.  A line's first maximal minimum replaces the best only on strict
+    The grid is scanned one lattice line (*head, c, t, rest - t) at a time,
+    in the lexicographic order of `compositions`, in groups of the lines that
+    share `head` (q = 2 has the one line (t, N - t)).  Each mass is a
+    polynomial of degree <= k in (c, t), so (k + 1)**2 `product_mass` calls
+    per group and predicate, then running sums over c, give every line's
+    forward differences in t at t = 0, and running sums over t give the line.
+    A line's first maximal minimum replaces the best only on strict
     improvement, so the chosen point is the first maximizer of the plain
     point-by-point scan.  The ascent scores single points and stops at the
     first predicate whose mass is no greater than the best.  The grid has
@@ -567,29 +570,47 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
             low = mass if low is None else min(low, mass)
         return low
 
-    def line_curve(tuples, head, rest):
-        # masses at (*head, t, rest - t) for t = 0..rest: a polynomial of
-        # degree <= k in t, so its forward differences at t = 0 up to order
-        # min(k, rest) rebuild the line by running sums
-        values = [
-            product_mass(tuples, ((*head, t, rest - t),) * k) for t in range(min(k, rest) + 1)
-        ]
+    def differences(values):
+        # forward differences of every order at 0, from the values at 0, 1, ...
         diffs = []
         while values:
             diffs.append(values[0])
             values = [b - a for a, b in zip(values, values[1:])]
-        curve = [diffs.pop()] * (rest + 1)
-        for first in reversed(diffs):
-            curve = list(itertools.accumulate(curve[:-1], initial=first))
-        return curve
+        return diffs
+
+    def unroll(diffs, length):
+        # an iterator over the values at 0..length-1 of the sequence with these
+        # forward differences at 0, of which only the first `length` matter
+        diffs = diffs[:length]
+        values = itertools.repeat(diffs[-1], length - len(diffs) + 1)
+        for first in reversed(diffs[:-1]):
+            values = itertools.accumulate(values, initial=first)
+        return values
 
     best = -1
-    for *head, rest in compositions(denominator, q - 1):
-        lows = list(map(min, zip(*(line_curve(tuples, head, rest) for tuples in sat))))
-        low = max(lows)
-        if low > best:
-            t = lows.index(low)
-            best, point = low, (*head, t, rest - t)
+    # groups of lines (*head, c, t, size - c - t), c = 0..size; q = 2 has the one
+    # line (t, N - t), whose c stays 0 and is sliced off
+    for *head, size in compositions(denominator, q - 2) if q > 2 else [(denominator,)]:
+        lines, orders = (size + 1 if q > 2 else 1), min(k, size) + 1
+        starts = []  # starts[f][c]: line c's differences in t at t = 0, for predicate f
+        for tuples in sat:
+            # each difference is a polynomial of degree <= k in c: unrolled from c <= k
+            grid = [
+                differences([
+                    product_mass(tuples, ((*head, c, t, size - c - t)[-q:],) * k)
+                    for t in range(orders)
+                ])
+                for c in range(min(orders, lines))
+            ]
+            starts.append(list(zip(*(unroll(differences(row), lines) for row in zip(*grid)))))
+        for c in range(lines):
+            rest = size - c
+            curves = [unroll(start[c], rest + 1) for start in starts]
+            lows = list(map(min, *curves) if len(curves) > 1 else curves[0])
+            low = max(lows)
+            if low > best:
+                t = lows.index(low)
+                best, point = low, (*head, c, t, rest - t)[-q:]
 
     # Local ascent on a refined lattice; any feasible point only improves the
     # lower bound, the bracket guarantee already comes from the grid above.
@@ -699,13 +720,24 @@ def canonical_instance(inst: Instance) -> Instance:
     return Instance(inst.family, inst.n, tuple(itertools.starmap(Constraint, best)))
 
 
+def _below(getrandbits, size: int) -> int:
+    """What `randrange(size)` returns, by `random.Random`'s rule for randint and choice:
+    size.bit_length() bits a draw (one for a size of 1), redrawn while >= size."""
+    width = size.bit_length()
+    value = getrandbits(width)
+    while value >= size:
+        value = getrandbits(width)
+    return value
+
+
 def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
     """The instances `rho_upper_empirical` evaluates, each as (n, picks).
 
     A pick is a constraint in the (weight, predicate, 0-based scope) form
     that `_max_satisfied` reads.  The complete instances on k..n_max
     variables come first, then random instances drawn with `rng` from each
-    n's constraint universe at weights 1 and 2, built once per n.
+    n's constraint universe at weights 1 and 2, built once per n.  Each n, m,
+    pick and weight is drawn by `_below`, as randint and choice would draw it.
     """
     universes = {}
     for t in range(fam.k, n_max + 1):
@@ -713,10 +745,13 @@ def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
             tuple((weight, p, scope) for weight in (1, 2)) for p, scope in _universe_scopes(fam, t)
         )
         yield t, [pair[0] for pair in universes[t]]
+    getrandbits = rng.getrandbits
     while True:
-        n = rng.randint(fam.k, n_max)
-        m = rng.randint(1, max(2, 2 * n))
-        yield n, [rng.choice(universes[n])[rng.randint(1, 2) - 1] for _ in range(m)]
+        n = fam.k + _below(getrandbits, n_max - fam.k + 1)
+        m = 1 + _below(getrandbits, max(2, 2 * n))
+        universe = universes[n]
+        size = len(universe)
+        yield n, [universe[_below(getrandbits, size)][_below(getrandbits, 2)] for _ in range(m)]
 
 
 def check_upper_empirical(fam: PredicateFamily, n_max: int, budget: int, seed: int = 0) -> tuple:

@@ -260,6 +260,8 @@ def certificate_from_dict(data: dict) -> GapCertificate:
             toolkit_version=serialize.strict(data["toolkit_version"], str),
             digest=serialize.strict(data["digest"], str),
         )
+    except ValidationError:  # a check's own message, such as the solution check's
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed certificate: {exc!r}") from exc
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -518,6 +519,19 @@ def test_rho_product_lower_matches_the_plain_scan_at_q4(k, data):
     assert rho_product_lower(fam, Fraction(1, 8)) == product_maximin_reference(fam, Fraction(1, 8))
 
 
+def test_rho_product_lower_matches_the_plain_scan_at_q4_k3():
+    # k = 3 at q = 4: masses of degree 3 in (c, t) on lines with a two-entry
+    # head, and a maximin strictly inside the simplex that the ascent moves.
+    tuples = list(itertools.product(range(4), repeat=3))
+    fam = PredicateFamily((
+        Predicate(4, 3, "rising", tuple(int(a < b or b < c) for a, b, c in tuples)),
+        Predicate(4, 3, "apart", tuple(int(b != 0 and a != c) for a, b, c in tuples)),
+    ))
+    value = rho_product_lower(fam, Fraction(1, 8))
+    assert value == product_maximin_reference(fam, Fraction(1, 8))
+    assert value == Fraction(5510671, 2**23)
+
+
 @pytest.mark.parametrize("q, k, tables", [
     (3, 1, ((1, 0, 1), (1, 1, 0))),
     (4, 1, ((1, 1, 0, 1), (1, 0, 1, 0))),
@@ -615,6 +629,27 @@ def test_rho_upper_empirical_matches_its_reference_replay(case):
     value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
     assert type(value) is Fraction
     assert value == rho_upper_reference(fam, n_max, budget, seed)
+
+
+# 1, then 2^e - 1, 2^e and 2^e + 1 up to 2^40: the sizes where the bit
+# count changes and where a draw is rejected least and most often.
+draw_sizes = st.lists(
+    st.one_of(
+        st.just(1),
+        st.builds(lambda e, d: 2**e + d, st.integers(1, 40), st.sampled_from((-1, 0, 1))),
+    ),
+    max_size=40,
+)
+
+
+@given(seed=st.integers(0, 2**64), sizes=draw_sizes)
+def test_draws_match_randrange_draw_by_draw(seed, sizes):
+    # `_upper_stream` draws through `_below`; the stream of
+    # `rho_upper_reference` calls randint and choice, which use randrange's rule.
+    rng, twin = random.Random(seed), random.Random(seed)
+    for size in sizes:
+        assert core._below(rng.getrandbits, size) == twin.randrange(size)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_rho_upper_empirical_refuses_an_over_budget_n_before_any_search(monkeypatch):

@@ -87,7 +87,7 @@ DIGESTS = {
     ("ternary", "lp-solve"):
         "5ca8b6d3fabd50471e21a7a5a924575430fafbebea8229c1446e0fe8add5aa4c",
     "verify-cert":
-        "4f5ab4ae27f69cf4b592a2528c68b60840fc15fc073c15c53e4b9fde6835f61d",
+        "ac14e54f52a246d0c7640db0dd77b82702608dcfcc0b9e7d2574c01ca238741d",
     "pivot-path":
         "52807b2b49e2b534d33790f0a0ce8f73796f970bf2081cb4508bdf9e99bd78f0",
     "upper-stream":
