@@ -15,8 +15,9 @@ solution check in `basic_lp`, and the yes/no pair in `witnesses`.
 
 Besides the data model this module computes brute-force optima, the two
 sides of the trivial-threshold bracket (best i.i.d. product assignment from
-below, scanned by forward differences along lattice lines; cheapest
-enumerated instance from above), and shift widths over the additive group
+below, scanned by forward differences along lattice lines, skipping lines
+that cannot win; cheapest enumerated instance from above, only the complete
+instances for one predicate), and shift widths over the additive group
 Z_q.  Both brute-force optima and the bracket's upper end come from one
 exhaustive search, `_max_satisfied`, which scores blocks of assignments at
 once in the lanes of a Python integer: one lane per assignment, one 0/1 lane
@@ -537,8 +538,12 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     forward differences in t at t = 0, and running sums over t give the line.
     A line's first maximal minimum replaces the best only on strict
     improvement, so the chosen point is the first maximizer of the plain
-    point-by-point scan.  The ascent scores single points and stops at the
-    first predicate whose mass is no greater than the best.  The grid has
+    point-by-point scan.  Since 0 <= C(t, j) <= C(rest, j) for t = 0..rest,
+    a predicate's mass on the line is at most the sum of C(rest, j) * d_j
+    over its positive differences d_j at t = 0; a line where that sum is no
+    greater than the best for some predicate cannot win and is skipped.
+    The ascent scores single points and stops at the first predicate whose
+    mass is no greater than the best.  The grid has
     C(N + q - 2, q - 2) lines; above `LATTICE_LINE_BUDGET` of them the scan
     is refused with `BudgetError` before it starts.
     """
@@ -605,6 +610,13 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
             starts.append(list(zip(*(unroll(differences(row), lines) for row in zip(*grid)))))
         for c in range(lines):
             rest = size - c
+            # skip a line that cannot win: some predicate's mass stays <= best
+            binomials = [math.comb(rest, j) for j in range(orders)]
+            if any(
+                sum(b * d for b, d in zip(binomials, start[c]) if d > 0) <= best
+                for start in starts
+            ):
+                continue
             curves = [unroll(start[c], rest + 1) for start in starts]
             lows = list(map(min, *curves) if len(curves) > 1 else curves[0])
             low = max(lows)
@@ -787,6 +799,13 @@ def rho_upper_empirical(
     arguments pass `check_upper_empirical` before the first instance is
     evaluated.
 
+    A one-predicate family evaluates only the complete instances, on
+    k..n_max variables, for the same result at every budget and seed.
+    Constraints have distinct variables, so averaging any instance on at
+    most n_max variables over the relabelings of [n_max] gives a multiple
+    of the complete instance on n_max; csp is convex in the weights and
+    invariant under relabeling, so no instance has a lower optimum.
+
     Each exhaustive search stops at its first assignment that reaches the
     running minimum, since that instance can no longer lower it; an instance
     whose optimum is below the minimum is enumerated in full and gives that
@@ -794,6 +813,8 @@ def rho_upper_empirical(
     weight, total weight).
     """
     n_max, budget, seed = check_upper_empirical(fam, n_max, budget, seed)
+    if len(fam.predicates) == 1:  # no instance beats the complete one on n_max
+        budget = min(budget, n_max - fam.k + 1)
     best_sat, best_total = 1, 1
     for n, compiled in itertools.islice(_upper_stream(fam, n_max, random.Random(seed)), budget):
         total = sum(weight for weight, _, _ in compiled)

@@ -65,6 +65,8 @@ def family_from_dict(data: dict) -> PredicateFamily:
             Predicate(q, k, strict(entry["name"], str), strict_ints(entry["table"]))
             for entry in strict(data["predicates"], list)
         )
+    except ValidationError:  # a predicate's own check, such as its table's length
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed family object: {exc!r}") from exc
     return PredicateFamily(predicates)

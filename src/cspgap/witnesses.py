@@ -348,6 +348,12 @@ def support_classification(
     only drop when predicates are added, so the chain collapses to
     equality).  Overlapping brackets leave "unknown"; no supporting
     subfamily at all is "none".
+
+    A one-predicate subfamily's upper bound is the optimum of its complete
+    instance on `n_max` variables, for any `upper_budget` from n_max - k + 1
+    up: averaged over the relabelings of [n_max], any instance on at most
+    `n_max` variables is a multiple of that instance, and csp is convex in
+    the weights, so `rho_upper_empirical` evaluates only complete instances.
     """
     rho_lower = to_fraction(rho_lower)
     decisions = [onewise_support(p) for p in fam.predicates]

@@ -318,6 +318,30 @@ def test_verify_cert_names_a_marginal_miss_as_the_solution_check_does(tmp_path, 
     assert capsys.readouterr() == ("", expected)
 
 
+@pytest.mark.parametrize("command", ["lp-solve", "verify-cert"])
+@pytest.mark.parametrize("table, message", [
+    ([0, 1, 1], "predicate 'cut': table has 3 entries, expected q^k = 4"),
+    ([0, 1, 2, 0], "predicate 'cut': table entries must be 0 or 1"),
+], ids=["length", "entry"])
+def test_a_bad_predicate_table_is_named_as_the_predicate_check_does(
+    command, table, message, triangle_file, tmp_path, capsys
+):
+    path = tmp_path / "input.json"
+    if command == "lp-solve":
+        data = json.loads(pathlib.Path(triangle_file).read_text())
+        data["family"]["predicates"][0]["table"] = table
+    else:
+        argv = ["gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3"]
+        assert main([*argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        data["instance"]["family"]["predicates"][0]["table"] = table
+    path.write_text(canonical_dumps(data))
+    assert main([command, str(path)]) == 2
+    # the family loader passes the predicate's ValidationError on unchanged
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_missing_file_is_operational_error(capsys):
     assert main(["lp-solve", "/nonexistent/x.json"]) == 2
 

@@ -532,6 +532,44 @@ def test_rho_product_lower_matches_the_plain_scan_at_q4_k3():
     assert value == Fraction(5510671, 2**23)
 
 
+# The grid maximin 529/1024 is reached on the 15 lines c = 25..39, and the
+# lines c = 45..64 cannot win and are skipped.  The ascent stays at 529/1024
+# from line 25's point but climbs from the later tied lines (to 34225/65536
+# from c = 26), so only the first maximizer gives the plain scan's value.
+TIED_LINES = PredicateFamily((
+    Predicate(3, 2, "a", (1, 1, 0, 1, 1, 0, 0, 0, 0)),
+    Predicate(3, 2, "b", (0, 0, 1, 1, 0, 0, 1, 1, 1)),
+))
+
+
+@st.composite
+def swap_symmetric_families(draw):
+    """q = 3 families whose tables do not change when symbols 0 and 1 swap, so a
+    maximin point (a, b, c) with a != b is tied with (b, a, c) on another line."""
+    k = draw(st.integers(1, 3))
+    tuples = list(itertools.product(range(3), repeat=k))
+    swap = [tuples.index(tuple((1, 0, 2)[v] for v in a)) for a in tuples]
+    tables = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=3**k, max_size=3**k), min_size=1, max_size=3
+    ))
+    return PredicateFamily(tuple(
+        Predicate(3, k, f"p{i}", tuple(t[r] | t[swap[r]] for r in range(3**k)))
+        for i, t in enumerate(tables)
+    ))
+
+
+@settings(max_examples=10, deadline=None)
+@given(fam=swap_symmetric_families())
+@example(fam=TIED_LINES)
+def test_rho_product_lower_keeps_the_first_of_tied_lines(fam):
+    # Skipped lines are those that cannot strictly raise the best, so they
+    # never move the first maximizer the ascent starts from.
+    value = rho_product_lower(fam, Fraction(1, 8))
+    assert value == product_maximin_reference(fam, Fraction(1, 8))
+    if fam is TIED_LINES:
+        assert value == Fraction(529, 1024)
+
+
 @pytest.mark.parametrize("q, k, tables", [
     (3, 1, ((1, 0, 1), (1, 1, 0))),
     (4, 1, ((1, 1, 0, 1), (1, 0, 1, 0))),
@@ -595,7 +633,8 @@ def test_rho_upper_empirical_is_the_least_exact_optimum_of_its_stream(monkeypatc
         for n_max, budget, seed in ((3, 40, 0), (4, 60, 5), (5, 30, 9)):
             seen.clear()
             value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
-            assert len(seen) == budget
+            one = len(fam.predicates) == 1
+            assert len(seen) == (min(budget, n_max - fam.k + 1) if one else budget)
             assert value == min(brute_force_opt(inst)[0] for inst in seen)
 
 
@@ -617,11 +656,20 @@ TWIN_TABLES = PredicateFamily((
 ))
 
 
+def one_predicate(q, k, table):
+    return PredicateFamily((Predicate(q, k, "p", table),))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=upper_cases())
 @example(case=(TWIN_TABLES, 4, 64, 0))
 @example(case=(TWIN_TABLES, 5, 40, 3))
 @example(case=(TWIN_TABLES, 3, 17, 11))
+# one predicate: the reference still draws and searches 64 instances
+@example(case=(cut_family(), 5, 64, 0))
+@example(case=(dicut_family(), 5, 64, 7))
+@example(case=(one_predicate(3, 2, (0, 1, 1, 0, 0, 1, 1, 0, 0)), 5, 64, 3))
+@example(case=(one_predicate(2, 3, (0, 1, 1, 1, 1, 1, 1, 0)), 5, 64, 11))
 def test_rho_upper_empirical_matches_its_reference_replay(case):
     # The compiled stream, the integer running minimum and the stop
     # threshold against real instances, each searched in full.
@@ -629,6 +677,30 @@ def test_rho_upper_empirical_matches_its_reference_replay(case):
     value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
     assert type(value) is Fraction
     assert value == rho_upper_reference(fam, n_max, budget, seed)
+
+
+@st.composite
+def one_predicate_cases(draw):
+    """One predicate with q, k <= 3, n_max <= 5, budget <= 300 and any seed."""
+    q, k = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    fam = one_predicate(q, k, draw(st.tuples(*[st.integers(0, 1)] * q**k)))
+    return fam, draw(st.integers(k, 5)), draw(st.integers(1, 300)), draw(st.integers())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=one_predicate_cases())
+def test_a_one_predicate_upper_end_is_its_last_complete_instance(case):
+    # Relabeling [n_max] and averaging turns any instance on at most n_max
+    # variables into a multiple of the complete instance on n_max, and csp
+    # is convex in the weights: the stream stops after the complete
+    # instances, whatever the budget and seed.
+    fam, n_max, budget, seed = case
+    top = min(n_max, fam.k + budget - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = record_upper_stream(patch)
+        value = rho_upper_empirical(fam, n_max, budget=budget, seed=seed)
+    assert seen == [complete_instance(fam, n) for n in range(fam.k, top + 1)]
+    assert value == brute_force_opt(complete_instance(fam, top))[0]
 
 
 # 1, then 2^e - 1, 2^e and 2^e + 1 up to 2^40: the sizes where the bit
