@@ -3,14 +3,15 @@
 Subcommands: family-stats, lp-solve, gap-check, gap-search, verify-cert.
 Exit codes are uniform: 0 for an affirmative answer, 1 for a negative one,
 2 for operational errors (bad files, bad flags, blown budgets).  Reports go
-to stdout (stable sorted-key JSON under --json), progress to stderr, and
-certificates only ever to files.
+to stdout (stable sorted-key JSON under --json), progress and one-line
+`warning:` and `error:` messages to stderr, and certificates only ever to files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import basic_lp, core, lp, search, serialize, witnesses
 from .errors import ToolkitError
@@ -255,11 +256,13 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ToolkitError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    with warnings.catch_warnings():  # each warning the filters pass, as one line
+        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+        try:
+            return args.func(args)
+        except (ToolkitError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
 
 
 if __name__ == "__main__":

@@ -7,11 +7,12 @@ most significant.  Constraints apply a named predicate to a tuple of distinct
 assignment is the satisfied fraction of the total weight, always an exact
 Fraction in [0, 1].
 
-An `Instance` works out once, on first use, its total weight and its
-compiled form, `Instance.compiled`: each constraint as (weight, predicate,
-0-based variable indices).  That form is the one every exact evaluator
-reads: brute force and `csp_value` here, the relaxation, its dual and its
-solution check in `basic_lp`, and the yes/no pair in `witnesses`.
+An `Instance` builds its total weight and its compiled form,
+`Instance.compiled`, when the instance is checked: each constraint as
+(weight, predicate, 0-based variable indices).  That form is the one every
+exact evaluator reads: brute force and `csp_value` here, the relaxation,
+its dual and its solution check in `basic_lp`, and the yes/no pair in
+`witnesses`.
 
 Besides the data model this module computes brute-force optima, the two
 sides of the trivial-threshold bracket (best i.i.d. product assignment from
@@ -74,6 +75,10 @@ class Predicate:
     k: int
     name: str
     table: tuple
+    # built with the table; not part of repr, equality or hash
+    _satisfying: tuple = field(init=False, repr=False, compare=False)
+    # (scope, n, lane width) -> lane mask, filled by `_max_satisfied`
+    _lane_masks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_int(self.q, "alphabet size"))
@@ -96,6 +101,9 @@ class Predicate:
         if any(v not in (0, 1) for v in table):
             raise ValidationError(f"predicate {self.name!r}: table entries must be 0 or 1")
         object.__setattr__(self, "table", table)
+        lexicographic = itertools.product(range(self.q), repeat=self.k)  # the table's order
+        object.__setattr__(self, "_satisfying", tuple(a for a, v in zip(lexicographic, table) if v))
+        object.__setattr__(self, "_lane_masks", {})
 
     def index_of(self, values) -> int:
         """Rank of a tuple in [q]^k, lexicographic; any other tuple raises, never aliases."""
@@ -124,18 +132,6 @@ class Predicate:
     def satisfying_tuples(self) -> tuple:
         """All satisfying k-tuples, in lexicographic order."""
         return self._satisfying
-
-    @functools.cached_property
-    def _satisfying(self) -> tuple:
-        # the table is in lexicographic order, as `itertools.product` counts
-        return tuple(
-            a for a, v in zip(itertools.product(range(self.q), repeat=self.k), self.table) if v
-        )
-
-    @functools.cached_property
-    def _lane_masks(self) -> dict:
-        # (scope, n, lane width) -> lane mask, filled by `_max_satisfied`
-        return {}
 
 
 @dataclass(frozen=True)
@@ -212,12 +208,16 @@ class Instance:
     family as explicit lower-arity tables instead.
 
     `compiled` holds each constraint, in order, as (weight, predicate,
-    0-based variable indices); it and `total_weight` are worked out once.
+    0-based variable indices); it and `total_weight` are built when the
+    instance is checked.
     """
 
     family: PredicateFamily
     n: int
     constraints: tuple
+    # built with the checks; not part of repr, equality or hash
+    compiled: tuple = field(init=False, repr=False, compare=False)
+    total_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_int(self.n, "variable count"))
@@ -227,8 +227,10 @@ class Instance:
         if not constraints:
             raise ValidationError("instance must contain at least one constraint")
         k = self.family.k
+        compiled = []
         for c in constraints:
-            if c.predicate not in self.family:
+            pred = self.family._by_name.get(c.predicate)
+            if pred is None:
                 raise ValidationError(f"unknown predicate {c.predicate!r}")
             if len(c.variables) != k:
                 raise ValidationError(
@@ -244,22 +246,14 @@ class Instance:
                     f"variable index out of range in {c.predicate!r}{c.variables}"
                     f" (n = {self.n})"
                 )
+            compiled.append((c.weight, pred, tuple(v - 1 for v in c.variables)))
         object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "compiled", tuple(compiled))
+        object.__setattr__(self, "total_weight", sum(c.weight for c in constraints))
 
     @property
     def m(self) -> int:
         return len(self.constraints)
-
-    @functools.cached_property
-    def compiled(self) -> tuple:
-        return tuple(
-            (c.weight, self.family[c.predicate], tuple(v - 1 for v in c.variables))
-            for c in self.constraints
-        )
-
-    @functools.cached_property
-    def total_weight(self) -> int:
-        return sum(c.weight for c in self.constraints)
 
 
 def _check_assignment(inst: Instance, assignment) -> tuple:

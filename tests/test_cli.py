@@ -696,3 +696,91 @@ def test_progress_goes_to_stderr_not_stdout(cut_family_file, tmp_path):
     ])
     json.loads(proc.stdout)  # stdout stays parseable
     assert "evaluated" in proc.stderr or "no (" in proc.stderr
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 0, "variable count must be >= 1, got 0"),
+    ("constraints", [], "instance must contain at least one constraint"),
+])
+def test_an_empty_instance_is_refused_in_one_line(triangle_file, capsys, field, value, message):
+    data = json.loads(pathlib.Path(triangle_file).read_text())
+    data[field] = value
+    pathlib.Path(triangle_file).write_text(canonical_dumps(data))
+    assert main(["lp-solve", triangle_file]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-min", "5", "--n-max", "3"], "n_max must be at least n_min"),
+    (["--n-max", "3", "--max-constraints", "0"], "max_constraints must be positive"),
+])
+def test_gap_search_refuses_bad_bounds_in_one_line(cut_family_file, capsys, flags, message):
+    argv = ["gap-search", "--family", cut_family_file, "--gamma", "1", "--beta", "1/2"]
+    assert main([*argv, *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _drop_first_yes_colon(data):
+    atoms = data["yes_distribution"]
+    key = next(iter(atoms))
+    atoms[key.replace(":", "")] = atoms.pop(key)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda data: data["solution"]["locals"].pop(),
+     "one local distribution required per constraint"),
+    (lambda data: data["solution"]["marginals"][0].pop(),
+     "marginal of variable 1 has wrong length"),
+    (lambda data: data["solution"]["marginals"].__setitem__(0, ["-1/2", "3/2"]),
+     "marginal of variable 1 has a negative entry"),
+    (_drop_first_yes_colon, "malformed atom key 'cut01'"),
+    (lambda data: data["marginal_vector"].pop("cut"),
+     "marginal vector is missing predicate 'cut'"),
+], ids=["locals", "short-marginal", "negative-marginal", "atom-key", "marginal-vector"])
+def test_verify_cert_refuses_a_malformed_certificate_in_one_line(
+    tmp_path, capsys, mutate, message
+):
+    data = certificate_to_dict(
+        build_certificate(gap_report(cycle_instance(5)), Fraction(1), Fraction(4, 5))
+    )
+    mutate(data)
+    path = tmp_path / "cert.json"
+    path.write_text(canonical_dumps(data))
+    assert main(["verify-cert", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_gap_check_names_a_failing_completeness_side(tmp_path, capsys):
+    path = tmp_path / "directed.json"
+    path.write_text(canonical_dumps(instance_to_dict(cycle_instance(3, dicut_family(), "dicut"))))
+    assert main(["gap-check", str(path), "--gamma", "1/1", "--beta", "1/3"]) == 1
+    out = capsys.readouterr().out
+    assert "lp_value: 1/2\n" in out
+    assert out.endswith("failing_side: completeness: lp_value 1/2 < gamma 1/1\n")
+
+
+def test_family_stats_text_lists_width_bases_per_predicate(capsys):
+    assert main(["family-stats", str(DATA / "cut_family.json")]) == 0
+    assert "\nwidth_bases: cut=01\n" in capsys.readouterr().out
+
+
+DROPPED = "warning: dropping zero-weight constraint cut(1, 2)\n"
+
+
+@pytest.mark.parametrize("weights, code, out, err", [
+    ([0, 0, 0], 2, "", (
+        DROPPED
+        + "warning: dropping zero-weight constraint cut(2, 3)\n"
+        + "warning: dropping zero-weight constraint cut(3, 1)\n"
+        + "error: instance must contain at least one constraint\n"
+    )),
+    ([0, 1, 1], 0, "lp_value: 1/1\n", DROPPED),
+], ids=["all-zero", "one-zero"])
+def test_a_zero_weight_constraint_is_one_warning_line(tmp_path, weights, code, out, err):
+    data = json.loads((DATA / "triangle.json").read_text())
+    for constraint, weight in zip(data["constraints"], weights):
+        constraint["w"] = weight
+    path = tmp_path / "zero.json"
+    path.write_text(canonical_dumps(data))
+    proc = run_cli(["lp-solve", str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -364,6 +364,31 @@ def test_lane_search_keeps_each_lane_integer_within_one_block(monkeypatch):
         assert widest <= count * width
 
 
+def test_lane_masks_are_forgotten_when_the_store_is_full(monkeypatch):
+    # A store of 2 masks for one predicate on 4 distinct scopes at n = 4 and
+    # 5: the store fills and is cleared, some of the time in mid-search.
+    monkeypatch.setattr(core, "MASKS_PER_PREDICATE", 2)
+    fam = PredicateFamily((Predicate(2, 2, "lt", (0, 0, 1, 0)),))
+    sizes = []
+
+    class Store(dict):
+        def __setitem__(self, key, mask):
+            super().__setitem__(key, mask)
+            sizes.append(len(self))
+
+    object.__setattr__(fam["lt"], "_lane_masks", Store())
+    scopes = [(1, 2), (2, 3), (3, 1), (4, 2)]
+    for _ in range(2):  # the second pass finds some masks still stored
+        for m in range(1, len(scopes) + 1):
+            for n in (4, 5):
+                constraints = tuple(Constraint("lt", s, w) for w, s in enumerate(scopes[:m], 1))
+                inst = Instance(fam, n, constraints)
+                sat, best = max_satisfied_reference(2, n, inst.compiled, inst.total_weight)
+                assert brute_force_opt(inst) == (Fraction(sat, inst.total_weight), best)
+    assert max(sizes) == 2
+    assert sizes.count(1) > 1  # the store was cleared and refilled
+
+
 def same_class_variant(data, inst) -> Instance:
     """inst with its variables relabeled, its constraints shuffled, some of
     them split into duplicates that share the weight, and every weight scaled."""
