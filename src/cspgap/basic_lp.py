@@ -19,9 +19,10 @@ and `decode_primal`) orders [q]^k by rank.
 The relaxation, `unit_dual`, the solution check and the point-mass solution
 read each constraint from `Instance.compiled`, with 0-based variables; LP
 labels and messages still number variables from 1.  `solve_basic_lp`
-refuses a relaxation whose simplex tableau would pass
-`lp.TABLEAU_CELL_BUDGET` cells before it builds it.  `build_basic_lp` and
-`unit_optimum`, which build no tableau, take a relaxation of any size.
+(through `check_relaxation_size`) refuses a relaxation whose simplex
+tableau would pass `lp.TABLEAU_CELL_BUDGET` cells before it builds it.
+`build_basic_lp` and `unit_optimum`, which build no tableau, take a
+relaxation of any size.
 """
 
 from __future__ import annotations
@@ -179,16 +180,23 @@ def decode_primal(inst: Instance, primal: dict, value: Fraction) -> LocalDistrib
         raise InternalError(f"decoded solution fails verification: {exc}") from exc
 
 
-def solve_basic_lp(inst: Instance) -> LocalDistributionSolution:
-    """Exact optimum of the relaxation, decoded and verified.
-
-    A relaxation whose tableau would pass `lp.TABLEAU_CELL_BUDGET` cells
-    raises `BudgetError` before it is built: the shape of `build_basic_lp`
-    follows from n, m, q and k alone.
-    """
+def check_relaxation_size(inst: Instance) -> None:
+    """Raise `BudgetError` when the relaxation's tableau would pass
+    `lp.TABLEAU_CELL_BUDGET` cells, before it is built: the shape of
+    `build_basic_lp` follows from n, m, q and k alone."""
     q, k = inst.family.q, inst.family.k
     lp.check_tableau_size(inst.n * q + inst.m * q**k, inst.n + inst.m * k * q)
-    problem = build_basic_lp(inst)
+
+
+def solve_basic_lp(inst: Instance) -> LocalDistributionSolution:
+    """Exact optimum of the relaxation, decoded and verified; an oversized
+    relaxation is refused before it is built (`check_relaxation_size`)."""
+    check_relaxation_size(inst)
+    return solve_relaxation(inst, build_basic_lp(inst))
+
+
+def solve_relaxation(inst: Instance, problem: lp.LpProblem) -> LocalDistributionSolution:
+    """Exact optimum of `problem`, which is `build_basic_lp(inst)`, decoded and verified."""
     solution = lp.solve(problem)
     if solution.status != lp.OPTIMAL:
         raise InternalError(

@@ -66,10 +66,12 @@ def cmd_lp_solve(args) -> int:
     inst = serialize.load_instance(args.instance)
     if args.brute_force:  # refuse an over-budget search before any LP work
         core.check_assignment_budget(inst.family.q, inst.n, args.budget)
-    sol = basic_lp.solve_basic_lp(inst)  # refuses an oversized relaxation before any file
+    basic_lp.check_relaxation_size(inst)  # refuses an oversized relaxation before any file
+    problem = basic_lp.build_basic_lp(inst)  # built once, for the dump and the solve
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
-            handle.write(lp.dump_lp(basic_lp.build_basic_lp(inst)) + "\n")
+            handle.write(lp.dump_lp(problem) + "\n")
+    sol = basic_lp.solve_relaxation(inst, problem)
     data = {"lp_value": format_rational(sol.value)}
     if args.brute_force:
         value, witness = core.brute_force_opt(inst, budget=args.budget)
@@ -260,7 +262,8 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
         try:
             return args.func(args)
-        except (ToolkitError, OSError) as exc:
+        # a warning that the filters (`-W error`, PYTHONWARNINGS) turn into an exception
+        except (ToolkitError, OSError, Warning) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from . import serialize
+from . import serialize, witnesses
 from .basic_lp import (
     GapReport,
     LocalDistributionSolution,
@@ -419,8 +419,9 @@ def _clauses(cert: GapCertificate, assignment_budget: int):
         yes_value(cert.yes_distribution) == cert.lp_value,
         "yes-side satisfaction must equal the relaxation value",
     )
-    bound, kernel = no_sup_search(
-        cert.no_distribution, budget=cert.no_sup_budget, seed=cert.seed
+    # the prover's stream replayed on the reference evaluator, not the prover's scorer
+    bound, kernel = witnesses._kernel_search(
+        cert.no_distribution, cert.no_sup_budget, cert.seed, witnesses._ReferenceScorer
     )
     yield (
         "no_sup_reproduces",

@@ -14,6 +14,12 @@ This module implements those objects exactly: marginal vectors (plain
 `core.positional_marginals`), yes/no values under kernels, a deterministic
 kernel-search falsifier, the one-wise-independence support decision (an
 exact LP feasibility question), and its lift to families.
+
+The no-side value has two evaluators.  The prover's kernel search
+(`no_sup_search`) scores with `_KernelScorer`, which works on integers over
+the lcm of the atom weights and of the kernel rows.  `no_value` and
+`verify-cert`'s replay of the search score with `_ReferenceScorer`, the plain
+`Fraction` loop, so the verifier shares no arithmetic with the prover.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import lp
@@ -122,8 +129,13 @@ class SymbolKernel:
         return cls((row,) * q)
 
 
-class _KernelScorer:
-    """Precompiled evaluator for the no-side value of one distribution."""
+class _ReferenceScorer:
+    """The no-side value of one distribution in plain `Fraction` arithmetic.
+
+    The reference evaluator: `no_value` and `verify-cert`'s replay of the
+    kernel search score with it, so the verifier shares no arithmetic with
+    the prover's `_KernelScorer`.
+    """
 
     def __init__(self, dist: PairDistribution):
         satisfying = {p.name: p.satisfying_tuples() for p in dist.family.predicates}
@@ -138,6 +150,33 @@ class _KernelScorer:
         return total
 
 
+class _KernelScorer:
+    """The prover's evaluator for the no-side value of one distribution.
+
+    Every score is an integer over a fixed scale: the atom weights are put
+    over their lcm W once, each call puts the kernel rows over their lcm d,
+    and `product_mass` runs on those ints.  The value is the one fraction
+    total / (W * d**k), equal to `_ReferenceScorer`'s.
+    """
+
+    def __init__(self, dist: PairDistribution):
+        satisfying = {p.name: p.satisfying_tuples() for p in dist.family.predicates}
+        self.k = dist.family.k
+        self.scale = lcm(*(weight.denominator for weight in dist.mass.values()))
+        self.atoms = [
+            (satisfying[name], values, weight.numerator * (self.scale // weight.denominator))
+            for (name, values), weight in dist.atoms()
+        ]
+
+    def score(self, rows):
+        d = lcm(*(v.denominator for row in rows for v in row))
+        scaled = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+        total = 0
+        for satisfying, values, weight in self.atoms:
+            total += product_mass(satisfying, [scaled[v] for v in values], weight)
+        return Fraction(total, self.scale * d**self.k)
+
+
 def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
     """Expected satisfaction after rerandomizing each coordinate through the kernel.
 
@@ -146,7 +185,7 @@ def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
     """
     if kernel.q != dist.family.q:
         raise ValidationError("kernel alphabet does not match the family")
-    return _KernelScorer(dist).score(kernel.rows)
+    return _ReferenceScorer(dist).score(kernel.rows)
 
 
 # Kernel evaluations one search may spend.  A certificate stores its budget
@@ -177,12 +216,19 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     is an exact rational point).  The result is a certified lower bound on
     the supremum over all kernels; ties break toward the lexicographically
     smallest kernel.  Deterministic for a fixed (budget, seed) pair; the
-    budget must lie in [1, MAX_NO_SUP_BUDGET].
+    budget must lie in [1, MAX_NO_SUP_BUDGET].  Scores with the integer
+    `_KernelScorer`; `verify-cert` replays the same stream with the
+    `_ReferenceScorer`.
     """
+    return _kernel_search(dist, budget, seed, _KernelScorer)
+
+
+def _kernel_search(dist: PairDistribution, budget: int, seed: int, scorer):
+    """`no_sup_search`'s kernel stream, scored by `scorer(dist).score`."""
     budget = check_no_sup_budget(budget)
     seed = as_int(seed, "kernel search seed")
     q = dist.family.q
-    scorer = _KernelScorer(dist)
+    score = scorer(dist).score
     scored = []  # (value, rows) for each kernel scored, in stream order
 
     def kernels():
@@ -234,7 +280,7 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
                         break
 
     for rows in itertools.islice(kernels(), budget):
-        scored.append((scorer.score(rows), rows))
+        scored.append((score(rows), rows))
     best = max(value for value, _ in scored)
     return best, SymbolKernel(min(rows for value, rows in scored if value == best))
 

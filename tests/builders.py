@@ -15,15 +15,16 @@ from cspgap import core
 from cspgap.core import constraint_universe
 
 
-def run_cli(args):
-    """`python -m cspgap.cli ARGS` in a fresh process that imports the package under test."""
+def run_cli(args, **env):
+    """`python -m cspgap.cli ARGS` in a fresh process that imports the package under test,
+    with `env` added to its environment."""
     src = str(pathlib.Path(cspgap.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "cspgap.cli", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cspgap.basic_lp
 import cspgap.core
 import cspgap.lp
 import cspgap.search
+import cspgap.witnesses
 from builders import MARGINAL_MISS, cycle_instance, run_cli, triangle
 from cspgap import (
     BudgetError,
@@ -106,6 +108,21 @@ def test_lp_dump(triangle_file, tmp_path, capsys):
     text = dump.read_text()
     assert text.startswith("maximize")
     assert "all variables >= 0" in text
+
+
+def test_lp_dump_builds_the_relaxation_once(tmp_path, monkeypatch, capsys):
+    built = []
+    original = cspgap.basic_lp.build_basic_lp
+
+    def counting(inst):
+        built.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(cspgap.basic_lp, "build_basic_lp", counting)
+    dump = tmp_path / "c5.lp"
+    assert main(["lp-solve", str(DATA / "c5.json"), "--dump-lp", str(dump)]) == 0
+    assert capsys.readouterr().out == "lp_value: 1/1\n"
+    assert len(built) == 1 and dump.read_text().startswith("maximize")
 
 
 def test_lp_solve_refuses_an_over_budget_brute_force_before_the_relaxation(
@@ -784,3 +801,46 @@ def test_a_zero_weight_constraint_is_one_warning_line(tmp_path, weights, code, o
     path.write_text(canonical_dumps(data))
     proc = run_cli(["lp-solve", str(path)])
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("weights, dropped", [([0, 0, 0], "cut(1, 2)"), ([1, 0, 1], "cut(2, 3)")])
+def test_a_zero_weight_constraint_under_warnings_as_errors_is_one_error_line(
+    tmp_path, weights, dropped
+):
+    data = json.loads((DATA / "triangle.json").read_text())
+    for constraint, weight in zip(data["constraints"], weights):
+        constraint["w"] = weight
+    path = tmp_path / "zero.json"
+    path.write_text(canonical_dumps(data))
+    proc = run_cli(["lp-solve", str(path)], PYTHONWARNINGS="error")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: dropping zero-weight constraint {dropped}\n"
+    )
+
+
+def test_verify_cert_replays_the_kernel_search_on_the_reference(tmp_path, monkeypatch, capsys):
+    """The verifier shares no arithmetic with the prover.  A prover scorer
+    that ranks the honest kernel lower still writes a certificate (its bound
+    stays <= csp); the replay on the reference evaluator refuses it."""
+    instance_path = str(DATA / "c5.json")
+    honest = build_certificate(
+        gap_report(load_instance(instance_path)), Fraction(1), Fraction(4, 5)
+    )
+    score = cspgap.witnesses._KernelScorer.score
+
+    def demoting(scorer, rows):
+        value = score(scorer, rows)
+        return value - Fraction(1, 1000) if rows == honest.no_sup_kernel.rows else value
+
+    monkeypatch.setattr(cspgap.witnesses._KernelScorer, "score", demoting)
+    cert_path = tmp_path / "c5-cert.json"
+    argv = ["gap-check", instance_path, "--gamma", "1/1", "--beta", "4/5", "--out", str(cert_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cert = certificate_from_dict(json.loads(cert_path.read_text()))
+    assert cert.no_sup_kernel != honest.no_sup_kernel
+    assert cert.no_sup_bound <= cert.csp_value
+    assert main(["verify-cert", str(cert_path)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL: no_sup_reproduces (kernel search must reproduce the stored bound and kernel)\n"
+    )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import cspgap.basic_lp
 import cspgap.lp
 import cspgap.search
+import cspgap.witnesses
 from builders import cycle_instance, triangle
 from cspgap import (
     BudgetError,
@@ -459,7 +460,7 @@ def test_verification_stops_at_the_first_failed_clause(monkeypatch):
 
     inst = cycle_instance(5)
     cert = build_certificate(gap_report(inst), Fraction(1), Fraction(4, 5))
-    monkeypatch.setattr(cspgap.search, "no_sup_search", no_replay)
+    monkeypatch.setattr(cspgap.witnesses, "_kernel_search", no_replay)
     monkeypatch.setattr(cspgap.lp, "solve", counting)
     # A feasible but suboptimal solution whose value is also the stated lp_value:
     # every clause before lp_optimum holds and lp_optimum fails.

@@ -209,6 +209,62 @@ def test_no_sup_search_budget_cuts_one_kernel_stream(dist, budget, seed):
     assert no_value(dist, kernel) == bound
 
 
+def mixed_fractions(numerators):
+    """Rationals p/d over unrelated denominators d <= 30, p drawn from `numerators`."""
+    return st.builds(Fraction, numerators, st.integers(1, 30))
+
+
+@st.composite
+def mixed_pair_distributions(draw):
+    """Up to six atoms over one or two random predicates, q in {2, 3}, k in {1, 2, 3},
+    weighted p/d with mixed denominators before they are normalized."""
+    q, k = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    tables = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k), min_size=1, max_size=2
+    ))
+    fam = PredicateFamily(tuple(
+        Predicate(q, k, f"p{i}", tuple(table)) for i, table in enumerate(tables)
+    ))
+    cube = list(itertools.product(range(q), repeat=k))
+    atoms = draw(st.lists(
+        st.tuples(st.sampled_from(fam.names), st.sampled_from(cube)),
+        min_size=1, max_size=6, unique=True,
+    ))
+    weights = draw(st.lists(mixed_fractions(st.integers(1, 5)),
+                            min_size=len(atoms), max_size=len(atoms)))
+    total = sum(weights)
+    return PairDistribution(fam, {a: w / total for a, w in zip(atoms, weights)})
+
+
+def mixed_kernel_rows(q):
+    """Kernel rows over [q] whose entries have unrelated denominators, not only /64."""
+    row = st.lists(mixed_fractions(st.integers(0, 6)), min_size=q, max_size=q).filter(any)
+    normalized = row.map(lambda r: tuple(v / sum(r) for v in r))
+    return st.lists(normalized, min_size=q, max_size=q).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_scorer_equals_the_reference_exactly(data):
+    dist = data.draw(mixed_pair_distributions(), label="dist")
+    rows = data.draw(mixed_kernel_rows(dist.family.q), label="rows")
+    value = witnesses._KernelScorer(dist).score(rows)
+    assert type(value) is Fraction
+    assert value == witnesses._ReferenceScorer(dist).score(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dist=mixed_pair_distributions(),
+    budget=st.integers(1, 150),
+    seed=st.integers(0, 2**32),
+)
+def test_no_sup_search_equals_the_reference_search(dist, budget, seed):
+    """The prover's search and verify-cert's replay on the reference agree on every stream."""
+    reference = witnesses._kernel_search(dist, budget, seed, witnesses._ReferenceScorer)
+    assert no_sup_search(dist, budget, seed) == reference
+
+
 def test_construct_yes_no_c5():
     inst = cycle_instance(5)
     report = gap_report(inst)
