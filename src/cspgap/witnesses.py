@@ -16,10 +16,12 @@ kernel-search falsifier, the one-wise-independence support decision (an
 exact LP feasibility question), and its lift to families.
 
 The no-side value has two evaluators.  The prover's kernel search
-(`no_sup_search`) scores with `_KernelScorer`, which works on integers over
-the lcm of the atom weights and of the kernel rows.  `no_value` and
-`verify-cert`'s replay of the search score with `_ReferenceScorer`, the plain
-`Fraction` loop, so the verifier shares no arithmetic with the prover.
+(`no_sup_search`) runs on integer counts over 1/`SNAP_DENOMINATOR`: every
+kernel of its stream lies on that grid, so `_KernelScorer` scores a kernel
+as one integer over a scale shared by the whole search and compares plain
+ints.  `no_value` and `verify-cert`'s replay of the search score with
+`_ReferenceScorer`, the plain `Fraction` loop, so the verifier shares no
+arithmetic with the prover.
 """
 
 from __future__ import annotations
@@ -132,9 +134,10 @@ class SymbolKernel:
 class _ReferenceScorer:
     """The no-side value of one distribution in plain `Fraction` arithmetic.
 
-    The reference evaluator: `no_value` and `verify-cert`'s replay of the
-    kernel search score with it, so the verifier shares no arithmetic with
-    the prover's `_KernelScorer`.
+    The reference evaluator: `no_value` scores any kernel's rows with
+    `value`, and `verify-cert`'s replay of the kernel search scores each
+    kernel's counts with `score`, which maps a count c to the fraction c/64
+    and shares no arithmetic with the prover's `_KernelScorer`.
     """
 
     def __init__(self, dist: PairDistribution):
@@ -143,38 +146,47 @@ class _ReferenceScorer:
             (satisfying[name], values, weight) for (name, values), weight in dist.atoms()
         ]
 
-    def score(self, rows):
+    def value(self, rows) -> Fraction:
         total = Fraction(0)
         for satisfying, values, weight in self.atoms:
             total += product_mass(satisfying, [rows[v] for v in values], weight)
         return total
 
+    def score(self, rows) -> Fraction:
+        return self.value([[_GRID[c] for c in row] for row in rows])
+
+    def fraction(self, score) -> Fraction:
+        return score
+
 
 class _KernelScorer:
     """The prover's evaluator for the no-side value of one distribution.
 
-    Every score is an integer over a fixed scale: the atom weights are put
-    over their lcm W once, each call puts the kernel rows over their lcm d,
-    and `product_mass` runs on those ints.  The value is the one fraction
-    total / (W * d**k), equal to `_ReferenceScorer`'s.
+    `score` takes a kernel as q rows of counts that sum to `SNAP_DENOMINATOR`
+    and returns an integer: the atom weights are put over their lcm W once,
+    and `product_mass` runs on the weights and the counts.  Every score of a
+    search shares the denominator W * 64**k, so comparing scores compares
+    values, and `fraction` turns the winner into the exact value, equal to
+    `_ReferenceScorer`'s.
     """
 
     def __init__(self, dist: PairDistribution):
         satisfying = {p.name: p.satisfying_tuples() for p in dist.family.predicates}
-        self.k = dist.family.k
-        self.scale = lcm(*(weight.denominator for weight in dist.mass.values()))
+        scale = lcm(*(weight.denominator for weight in dist.mass.values()))
+        self.denominator = scale * SNAP_DENOMINATOR**dist.family.k
         self.atoms = [
-            (satisfying[name], values, weight.numerator * (self.scale // weight.denominator))
+            (satisfying[name], values, weight.numerator * (scale // weight.denominator))
             for (name, values), weight in dist.atoms()
         ]
 
-    def score(self, rows):
-        d = lcm(*(v.denominator for row in rows for v in row))
-        scaled = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+    def score(self, rows) -> int:
         total = 0
         for satisfying, values, weight in self.atoms:
-            total += product_mass(satisfying, [scaled[v] for v in values], weight)
-        return Fraction(total, self.scale * d**self.k)
+            total += product_mass(satisfying, [rows[v] for v in values], weight)
+        return total
+
+    def fraction(self, score) -> Fraction:
+        return Fraction(score, self.denominator)
 
 
 def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
@@ -185,14 +197,17 @@ def no_value(dist: PairDistribution, kernel: SymbolKernel) -> Fraction:
     """
     if kernel.q != dist.family.q:
         raise ValidationError("kernel alphabet does not match the family")
-    return _ReferenceScorer(dist).score(kernel.rows)
+    return _ReferenceScorer(dist).value(kernel.rows)
 
 
 # Kernel evaluations one search may spend.  A certificate stores its budget
 # and `verify-cert` replays the search, so the cap also bounds verification.
 MAX_NO_SUP_BUDGET = 10_000
-# Denominator of the random starts and the finest ascent step.
+# The grid of the kernel search: every kernel it scores has rows of counts
+# over this denominator, from the random starts to the finest ascent step.
 SNAP_DENOMINATOR = 64
+# The reference scorer's fraction for each count on that grid.
+_GRID = tuple(Fraction(c, SNAP_DENOMINATOR) for c in range(SNAP_DENOMINATOR + 1))
 # Supporting subfamilies `support_classification` may try before it gives up.
 SUBFAMILY_CAP = 4096
 
@@ -216,7 +231,7 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
     is an exact rational point).  The result is a certified lower bound on
     the supremum over all kernels; ties break toward the lexicographically
     smallest kernel.  Deterministic for a fixed (budget, seed) pair; the
-    budget must lie in [1, MAX_NO_SUP_BUDGET].  Scores with the integer
+    budget must lie in [1, MAX_NO_SUP_BUDGET].  Scores integer counts with
     `_KernelScorer`; `verify-cert` replays the same stream with the
     `_ReferenceScorer`.
     """
@@ -224,22 +239,33 @@ def no_sup_search(dist: PairDistribution, budget: int, seed: int = 0):
 
 
 def _kernel_search(dist: PairDistribution, budget: int, seed: int, scorer):
-    """`no_sup_search`'s kernel stream, scored by `scorer(dist).score`."""
+    """`no_sup_search`'s kernel stream, scored by `scorer(dist)`.
+
+    The stream yields each kernel as q rows of int counts over
+    `SNAP_DENOMINATOR`, each row summing to it.  The scorer's `score` values
+    are compared as they are (ints for `_KernelScorer`, fractions for
+    `_ReferenceScorer`), and only the winner becomes the exact bound
+    (`scorer.fraction`) and a `SymbolKernel`.  Counts order as their
+    fractions do, so the tie-break is the same on either scorer.
+    """
     budget = check_no_sup_budget(budget)
     seed = as_int(seed, "kernel search seed")
     q = dist.family.q
-    score = scorer(dist).score
-    scored = []  # (value, rows) for each kernel scored, in stream order
+    scorer = scorer(dist)
+    scored = []  # (score, counts) for each kernel scored, in stream order
 
     def kernels():
-        # the q^q deterministic kernels, then every kernel with rows over denominator 4 (q = 2) or 2
-        yield from itertools.product(SymbolKernel.identity(q).rows, repeat=q)
+        # the q^q deterministic kernels (counts 0 and 64), then every kernel
+        # with rows over denominator 4 (q = 2: steps of 16 counts) or 2 (32 counts)
+        units = [tuple(SNAP_DENOMINATOR * (i == j) for j in range(q)) for i in range(q)]
+        yield from itertools.product(units, repeat=q)
         den = 4 if q == 2 else 2
-        lattice = [tuple(Fraction(c, den) for c in counts) for counts in compositions(den, q)]
+        step = SNAP_DENOMINATOR // den
+        lattice = [tuple(step * c for c in counts) for counts in compositions(den, q)]
         yield from itertools.product(lattice, repeat=q)
         rng = random.Random(seed)
         moves = [
-            (sigma, up, down, Fraction(1, den))
+            (sigma, up, down, SNAP_DENOMINATOR // den)
             for sigma in range(q)
             for up in range(q)
             for down in range(q)
@@ -247,7 +273,7 @@ def _kernel_search(dist: PairDistribution, budget: int, seed: int, scorer):
             for den in (4, 16, SNAP_DENOMINATOR)
         ]
         # The consumer scores each kernel before it asks for the next one, so
-        # after a `yield` the value of the kernel just yielded is scored[-1].
+        # after a `yield` the score of the kernel just yielded is scored[-1].
         while True:
             counts = []
             for _ in range(q):
@@ -257,8 +283,8 @@ def _kernel_search(dist: PairDistribution, budget: int, seed: int, scorer):
                     row[j] = rng.randint(0, remaining)
                     remaining -= row[j]
                 row[q - 1] = remaining
-                counts.append(row)
-            current = tuple(tuple(Fraction(c, SNAP_DENOMINATOR) for c in row) for row in counts)
+                counts.append(tuple(row))
+            current = tuple(counts)
             yield current
             current_value = scored[-1][0]
             improved = True
@@ -270,9 +296,7 @@ def _kernel_search(dist: PairDistribution, budget: int, seed: int, scorer):
                         continue
                     row[down] -= delta
                     row[up] += delta
-                    candidate = tuple(
-                        tuple(row) if s == sigma else current[s] for s in range(q)
-                    )
+                    candidate = current[:sigma] + (tuple(row),) + current[sigma + 1:]
                     yield candidate
                     if scored[-1][0] > current_value:
                         current, current_value = candidate, scored[-1][0]
@@ -280,9 +304,11 @@ def _kernel_search(dist: PairDistribution, budget: int, seed: int, scorer):
                         break
 
     for rows in itertools.islice(kernels(), budget):
-        scored.append((score(rows), rows))
+        scored.append((scorer.score(rows), rows))
     best = max(value for value, _ in scored)
-    return best, SymbolKernel(min(rows for value, rows in scored if value == best))
+    counts = min(rows for value, rows in scored if value == best)
+    kernel = SymbolKernel(tuple(tuple(_GRID[c] for c in row) for row in counts))
+    return scorer.fraction(best), kernel
 
 
 def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):

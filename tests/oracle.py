@@ -10,7 +10,10 @@ scan that `cspgap.core.rho_product_lower` must reproduce exactly, and
 `max_satisfied_reference` is the plain assignment-by-assignment loop that
 the lane search `cspgap.core._max_satisfied` must reproduce exactly, and
 `width_reference` the plain rank-by-rank loop that `cspgap.core.width`
-must reproduce exactly.
+must reproduce exactly.  `no_value_reference` is the plain tuple-by-tuple
+no-side value that `cspgap.witnesses.no_value` must reproduce on any kernel,
+and `kernel_stream_reference` the kernel search on `Fraction` rows that the
+prover's integer-count stream must reproduce kernel by kernel.
 """
 
 import random
@@ -262,3 +265,82 @@ def width_reference(fam):
                 best_count, best_base = count, base
         detail[pred.name] = PredicateWidth(Fraction(best_count, q), best_base)
     return min(entry.width for entry in detail.values()), detail
+
+
+def no_value_reference(dist, rows) -> Fraction:
+    """The no-side value of `dist` under kernel `rows` as a plain sum.
+
+    Each atom (f, a) of weight w adds w * prod_l rows[a_l][b_l] for every
+    tuple b in [q]^k that f's truth table accepts; no `product_mass`, no
+    satisfying-tuple list and no common denominator.
+    """
+    fam = dist.family
+    total = Fraction(0)
+    for (name, values), weight in dist.atoms():
+        for b in product(range(fam.q), repeat=fam.k):
+            if fam[name].value(b):
+                total += weight * prod(rows[a][s] for a, s in zip(values, b))
+    return total
+
+
+def kernel_stream_reference(dist, budget, seed):
+    """The kernel search as it ran on `Fraction` rows, scored by `no_value_reference`.
+
+    The q^q deterministic kernels, the lattice over denominator 4 (q = 2) or
+    2, then seeded starts over 1/64 with local ascent by steps of 1/4, 1/16
+    and 1/64, cut at `budget`.  Returns (the kernels scored, in order; the
+    best value; the lexicographically smallest kernel of that value).
+    """
+    q = dist.family.q
+    scored = []
+
+    def kernels():
+        identity = tuple(tuple(Fraction(int(i == j)) for j in range(q)) for i in range(q))
+        yield from product(identity, repeat=q)
+        den = 4 if q == 2 else 2
+        lattice = [tuple(Fraction(c, den) for c in counts) for counts in compositions(den, q)]
+        yield from product(lattice, repeat=q)
+        rng = random.Random(seed)
+        moves = [
+            (sigma, up, down, Fraction(1, den))
+            for sigma in range(q)
+            for up in range(q)
+            for down in range(q)
+            if up != down
+            for den in (4, 16, 64)
+        ]
+        while True:
+            counts = []
+            for _ in range(q):
+                row = [0] * q
+                remaining = 64
+                for j in range(q - 1):
+                    row[j] = rng.randint(0, remaining)
+                    remaining -= row[j]
+                row[q - 1] = remaining
+                counts.append(row)
+            current = tuple(tuple(Fraction(c, 64) for c in row) for row in counts)
+            yield current
+            current_value = scored[-1][0]
+            improved = True
+            while improved:
+                improved = False
+                for sigma, up, down, delta in moves:
+                    row = list(current[sigma])
+                    if row[down] < delta:
+                        continue
+                    row[down] -= delta
+                    row[up] += delta
+                    candidate = tuple(
+                        tuple(row) if s == sigma else current[s] for s in range(q)
+                    )
+                    yield candidate
+                    if scored[-1][0] > current_value:
+                        current, current_value = candidate, scored[-1][0]
+                        improved = True
+                        break
+
+    for rows in islice(kernels(), budget):
+        scored.append((no_value_reference(dist, rows), rows))
+    best = max(value for value, _ in scored)
+    return [rows for _, rows in scored], best, min(rows for value, rows in scored if value == best)

@@ -820,17 +820,22 @@ def test_a_zero_weight_constraint_under_warnings_as_errors_is_one_error_line(
 
 def test_verify_cert_replays_the_kernel_search_on_the_reference(tmp_path, monkeypatch, capsys):
     """The verifier shares no arithmetic with the prover.  A prover scorer
-    that ranks the honest kernel lower still writes a certificate (its bound
-    stays <= csp); the replay on the reference evaluator refuses it."""
+    that ranks the honest kernel lower, by one unit of its integer score,
+    still writes a certificate (its bound stays <= csp); the replay on the
+    reference evaluator refuses it."""
     instance_path = str(DATA / "c5.json")
     honest = build_certificate(
         gap_report(load_instance(instance_path)), Fraction(1), Fraction(4, 5)
+    )
+    grid = cspgap.witnesses.SNAP_DENOMINATOR
+    honest_counts = tuple(
+        tuple(int(v * grid) for v in row) for row in honest.no_sup_kernel.rows
     )
     score = cspgap.witnesses._KernelScorer.score
 
     def demoting(scorer, rows):
         value = score(scorer, rows)
-        return value - Fraction(1, 1000) if rows == honest.no_sup_kernel.rows else value
+        return value - 1 if rows == honest_counts else value
 
     monkeypatch.setattr(cspgap.witnesses._KernelScorer, "score", demoting)
     cert_path = tmp_path / "c5-cert.json"

@@ -241,13 +241,18 @@ def test_no_sup_search_results_across_phase_boundaries(monkeypatch):
     phase ends, and into the seeded ascent, on the C5 and K4 no-sides.
 
     Each kernel scored is hashed in order as well as the result, since the
-    result alone is the same for any order of a fully scanned phase.
+    result alone is the same for any order of a fully scanned phase.  The
+    scorer takes counts over `SNAP_DENOMINATOR`; each kernel is hashed as its
+    rows of fractions.
     """
     digest = hashlib.sha256()
     score = witnesses._KernelScorer.score
 
     def recording(scorer, rows):
-        digest.update(repr(rows).encode() + b"\n")
+        fractions = tuple(
+            tuple(Fraction(c, witnesses.SNAP_DENOMINATOR) for c in row) for row in rows
+        )
+        digest.update(repr(fractions).encode() + b"\n")
         return score(scorer, rows)
 
     monkeypatch.setattr(witnesses._KernelScorer, "score", recording)

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import cycle_instance, random_instance, seeded, triangle
@@ -30,6 +30,7 @@ from cspgap import (
     yes_value,
 )
 from cspgap.serialize import canonical_dumps, pair_distribution_to_dict
+from oracle import kernel_stream_reference, no_value_reference
 
 CUT = cut_family()
 HALF = Fraction(1, 2)
@@ -243,14 +244,73 @@ def mixed_kernel_rows(q):
     return st.lists(normalized, min_size=q, max_size=q).map(tuple)
 
 
+def count_kernel_rows(q):
+    """Kernel rows over [q] as int counts summing to `SNAP_DENOMINATOR`, the
+    form the kernel search scores: each row cut at q - 1 sorted points."""
+    grid = witnesses.SNAP_DENOMINATOR
+    cuts = st.lists(st.integers(0, grid), min_size=q - 1, max_size=q - 1).map(sorted)
+    row = cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, grid])))
+    return st.lists(row, min_size=q, max_size=q).map(tuple)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_integer_scorer_equals_the_reference_exactly(data):
     dist = data.draw(mixed_pair_distributions(), label="dist")
+    counts = data.draw(count_kernel_rows(dist.family.q), label="counts")
+    scorer = witnesses._KernelScorer(dist)
+    score = scorer.score(counts)
+    assert type(score) is int
+    rows = tuple(tuple(Fraction(c, witnesses.SNAP_DENOMINATOR) for c in row) for row in counts)
+    reference = witnesses._ReferenceScorer(dist)
+    assert scorer.fraction(score) == reference.score(counts) == reference.value(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_no_value_scores_kernels_off_the_grid_exactly(data):
+    """A stored kernel may have any denominators; `no_value` is the plain sum on it."""
+    dist = data.draw(mixed_pair_distributions(), label="dist")
     rows = data.draw(mixed_kernel_rows(dist.family.q), label="rows")
-    value = witnesses._KernelScorer(dist).score(rows)
-    assert type(value) is Fraction
-    assert value == witnesses._ReferenceScorer(dist).score(rows)
+    assert no_value(dist, SymbolKernel(rows)) == no_value_reference(dist, rows)
+
+
+def q4_distribution():
+    """A q = 4 no-side over neq and lt with mixed weights."""
+    fam = PredicateFamily((
+        Predicate(4, 2, "neq", tuple(int(a != b) for a in range(4) for b in range(4))),
+        Predicate(4, 2, "lt", tuple(int(a < b) for a in range(4) for b in range(4))),
+    ))
+    weights = {("neq", (0, 1)): Fraction(1, 3), ("neq", (2, 2)): Fraction(1, 6),
+               ("lt", (3, 1)): Fraction(2, 7), ("lt", (0, 2)): Fraction(3, 14)}
+    return PairDistribution(fam, weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dist=mixed_pair_distributions(),
+    budget=st.integers(1, 400),
+    seed=st.sampled_from([0, 1, 7, 2**31 + 5]),
+)
+@example(dist=q4_distribution(), budget=400, seed=3)
+def test_kernel_stream_equals_the_fraction_stream(dist, budget, seed):
+    """The counts the prover scores are, over 1/64, the kernels of the
+    `Fraction` stream one by one, through the q^q kernels, the lattice and
+    into the ascent; the search returns the reference's (bound, kernel)."""
+    seen = []
+    score = witnesses._KernelScorer.score
+
+    def recording(scorer, rows):
+        seen.append(tuple(tuple(Fraction(c, witnesses.SNAP_DENOMINATOR) for c in row)
+                          for row in rows))
+        return score(scorer, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witnesses._KernelScorer, "score", recording)
+        result = no_sup_search(dist, budget, seed)
+    kernels, bound, rows = kernel_stream_reference(dist, budget, seed)
+    assert seen == kernels
+    assert result == (bound, SymbolKernel(rows))
 
 
 @settings(max_examples=30, deadline=None)
