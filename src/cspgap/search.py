@@ -24,7 +24,6 @@ from .basic_lp import (
     GapReport,
     LocalDistributionSolution,
     check_value_pair,
-    gap_report,
     solve_basic_lp,
     unit_optimum,
 )
@@ -298,47 +297,45 @@ def search_gap(
     instance with the largest lp - csp difference (earliest on ties) is
     certified.  Instances are evaluated one at a time, in stream order, by
     brute force first.  An instance with csp > beta cannot qualify and
-    gets no relaxation; for any other one the relaxation value is solved
-    once per `canonical_instance` class of the call and looked up for every
-    later member of the class.  The chosen instance is evaluated afresh by
-    `gap_report`, whose values must equal the ones it was chosen on.
+    gets no relaxation; for any other one the relaxation is solved once per
+    `canonical_instance` class of the call, on the class's first member,
+    and looked up for every later member.  The chosen instance is always
+    the first member of its class (its later members share its values and
+    never win a tie), so that solve is the certificate's.
     """
     no_sup_budget = check_no_sup_budget(no_sup_budget)
-    lp_values = {}  # canonical instance -> relaxation value, for this call only
+    solutions = {}  # canonical instance -> verified solution of its first member
     evaluated = 0
     qualifying = 0
-    best = None  # (instance, lp value, csp value)
+    best = None  # GapReport of the best qualifying instance so far
     for inst in itertools.islice(enumerate_instances(cfg), cfg.budget):
-        csp, _ = brute_force_opt(inst)
+        csp, witness = brute_force_opt(inst)
         evaluated += 1
         if progress is not None and evaluated % 100 == 0:
             progress(evaluated)
         if csp > cfg.beta:
             continue
         key = canonical_instance(inst)
-        if key not in lp_values:
-            lp_values[key] = solve_basic_lp(key).value
-        lp = lp_values[key]
-        check_value_pair(lp, csp)
-        if lp < cfg.gamma:
+        if key not in solutions:
+            solutions[key] = solve_basic_lp(inst)
+        sol = solutions[key]
+        check_value_pair(sol.value, csp)
+        if sol.value < cfg.gamma:
             continue
         qualifying += 1
+        if best is None or sol.value - csp > best.gap:
+            best = GapReport(inst, sol.value, csp, witness, sol)
         if not maximize_gap:
-            best = (inst, lp, csp)
             break
-        if best is None or lp - csp > best[1] - best[2]:
-            best = (inst, lp, csp)
     if best is None:
         return SearchOutcome(None, evaluated, qualifying)
-    inst, lp, csp = best
-    report = gap_report(inst)
-    if (report.lp_value, report.csp_value) != (lp, csp):
+    if best.lp_witness.instance != best.instance:
         raise InternalError(
-            f"fresh values (lp={report.lp_value}, csp={report.csp_value}) of the chosen"
-            f" instance differ from the search's (lp={lp}, csp={csp})"
+            "canonical_instance merged non-isomorphic instances: the chosen instance"
+            " is not the one its relaxation was solved on"
         )
     cert = build_certificate(
-        report, cfg.gamma, cfg.beta, seed=cfg.seed, no_sup_budget=no_sup_budget
+        best, cfg.gamma, cfg.beta, seed=cfg.seed, no_sup_budget=no_sup_budget
     )
     return SearchOutcome(cert, evaluated, qualifying)
 
@@ -453,8 +450,11 @@ def verify_certificate(
     Checks run in order and the first failed clause is reported.  When the
     brute-force re-check would exceed the assignment budget it is skipped
     and the result is downgraded to "verified except the csp bound" (the
-    stored witness still pins the csp value from below).
+    stored witness still pins the csp value from below).  A negative
+    budget raises ValidationError rather than downgrade.
     """
+    if as_int(assignment_budget, "assignment budget") < 0:
+        raise ValidationError(f"assignment budget must be non-negative, got {assignment_budget}")
     checks = []
     for name, holds, detail in _clauses(cert, assignment_budget):
         checks.append((name, bool(holds), detail))

@@ -190,6 +190,20 @@ def test_gap_check_exit_codes(triangle_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS")
 
 
+def test_verify_cert_refuses_a_negative_assignment_budget(triangle_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    argv = ["gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3", "--out", str(cert)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["verify-cert", str(cert), "--budget", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: assignment budget must be non-negative, got -1\n"
+    )
+    # a zero budget is no budget: the brute-force re-check is skipped, as documented
+    assert main(["verify-cert", str(cert), "--budget", "0"]) == 0
+    assert capsys.readouterr() == ("PASS (csp bound not re-derived: budget)\n", "")
+
+
 def test_gap_check_rejects_bad_targets(triangle_file, capsys):
     assert main(["gap-check", triangle_file, "--gamma", "1/2", "--beta", "2/3"]) == 2
 
@@ -418,7 +432,7 @@ def test_kernel_search_budget_is_checked_before_any_evaluation(
         raise AssertionError("instance evaluated before the budget check")
 
     monkeypatch.setattr("cspgap.basic_lp.gap_report", no_evaluation)
-    for name in ("gap_report", "brute_force_opt", "solve_basic_lp"):
+    for name in ("brute_force_opt", "solve_basic_lp"):
         monkeypatch.setattr(f"cspgap.search.{name}", no_evaluation)
     targets = ["--gamma", "1/1", "--beta", "2/3", "--no-sup-budget", budget]
     assert main(["gap-check", triangle_file, *targets]) == 2

@@ -18,6 +18,7 @@ from cspgap import (
     BudgetError,
     Constraint,
     Instance,
+    InternalError,
     PairDistribution,
     SearchConfig,
     SymbolKernel,
@@ -223,9 +224,11 @@ def test_search_maximize_gap_scans_budget():
 @pytest.mark.parametrize("maximize_gap", [False, True], ids=["first-hit", "maximize-gap"])
 def test_search_solves_one_relaxation_per_class(maximize_gap, monkeypatch):
     """One solve per canonical class of the evaluated prefix whose first
-    member has csp <= beta, and one more inside `gap_report` for the
-    certified instance; a class above beta cannot qualify and is never
-    solved, and no class is proved by the unit dual."""
+    member has csp <= beta, on that first member, and none more: the
+    certified instance is the first member of its class, so its solve is
+    the certificate's.  A class above beta cannot qualify and is never
+    solved, no class is proved by the unit dual, and `gap_report` is never
+    called."""
     solved = []
     original_solve = cspgap.basic_lp.solve_basic_lp
 
@@ -236,20 +239,45 @@ def test_search_solves_one_relaxation_per_class(maximize_gap, monkeypatch):
     def no_proof(solution):
         raise AssertionError("gap-search proved a relaxation value by the unit dual")
 
+    def no_report(*args, **kwargs):
+        raise AssertionError("gap-search called gap_report")
+
     monkeypatch.setattr(cspgap.search, "solve_basic_lp", counting)
     monkeypatch.setattr(cspgap.basic_lp, "solve_basic_lp", counting)
     monkeypatch.setattr(cspgap.search, "unit_optimum", no_proof)
+    monkeypatch.setattr(cspgap.basic_lp, "gap_report", no_report)
     config = cfg(n_max=4, max_constraints=4, beta=Fraction(3, 4), budget=300)
     outcome = search_gap(config, maximize_gap=maximize_gap)
     stream = list(itertools.islice(enumerate_instances(config), outcome.evaluated))
     first = {}  # class -> its first member, in stream order
     for inst in stream:
         first.setdefault(canonical_instance(inst), inst)
-    at_most_beta = [key for key, inst in first.items() if brute_force_opt(inst)[0] <= config.beta]
+    at_most_beta = [inst for inst in first.values() if brute_force_opt(inst)[0] <= config.beta]
     assert outcome.found and len(first) < len(stream)
     assert at_most_beta and len(at_most_beta) < len(first)
-    assert solved[:-1] == at_most_beta
-    assert solved[-1] == outcome.certificate.instance
+    assert solved == at_most_beta
+    assert outcome.certificate.instance in solved
+
+
+def test_search_refuses_a_chosen_instance_its_relaxation_was_not_solved_on(monkeypatch):
+    # No dicut instance within the search's small sizes has csp below 1/3,
+    # so the stream is set: the directed triangle (lp 1/2, csp 1/3), then
+    # the bidirected K5 (lp 1/2, csp 3/10), which has the larger gap.
+    directed = Instance(dicut_family(), 3, tuple(
+        Constraint("dicut", e) for e in ((1, 2), (2, 3), (3, 1))
+    ))
+    k5 = Instance(dicut_family(), 5, tuple(
+        Constraint("dicut", (u, v)) for u in range(1, 6) for v in range(1, 6) if u != v
+    ))
+    monkeypatch.setattr(cspgap.search, "enumerate_instances", lambda config: iter([directed, k5]))
+    config = cfg(family=dicut_family(), n_min=3, n_max=5, gamma=Fraction(1, 2),
+                 beta=Fraction(1, 3), budget=2)
+    assert search_gap(config, maximize_gap=True).certificate.instance == k5
+    # A canonical form that merges the two: the triangle is solved, and K5
+    # is chosen on the triangle's solution.
+    monkeypatch.setattr(cspgap.search, "canonical_instance", lambda inst: 0)
+    with pytest.raises(InternalError, match="merged non-isomorphic instances"):
+        search_gap(config, maximize_gap=True)
 
 
 def reference_search(config, maximize_gap):
