@@ -19,12 +19,14 @@ sides of the trivial-threshold bracket (best i.i.d. product assignment from
 below, scanned by forward differences along lattice lines, skipping lines
 that cannot win; cheapest enumerated instance from above, only the complete
 instances for one predicate), and shift widths over the additive group
-Z_q.  Both brute-force optima and the bracket's upper end come from one
-exhaustive search, `_max_satisfied`, which scores blocks of assignments at
-once in the lanes of a Python integer: one lane per assignment, one 0/1 lane
-mask per constraint, and one weighted sum of masks per block.  An
-enumeration refuses a variable count whose q^n or constraint universe
-exceeds `DEFAULT_ASSIGNMENT_BUDGET` before it builds either.
+Z_q.  One exhaustive search, `_max_satisfied`, serves three callers:
+`brute_force_opt`, the bracket's upper end `rho_upper_empirical`, and
+gap-search's pre-test `search._csp_at_most`, which stops at the first
+assignment above beta before any `Instance` is built.  It scores blocks of
+assignments at once in the lanes of a Python integer: one lane per
+assignment, one 0/1 lane mask per constraint, and one weighted sum of masks
+per block.  An enumeration refuses a variable count whose q^n or constraint
+universe exceeds `DEFAULT_ASSIGNMENT_BUDGET` before it builds either.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -773,6 +776,8 @@ def check_upper_empirical(fam: PredicateFamily, n_max: int, budget: int, seed: i
         raise ValidationError(f"need n_max >= k = {fam.k}, got {n_max}")
     if budget < 1:
         raise BudgetError("budget exhausted before any instance was evaluated")
+    if budget > sys.maxsize:  # the most instances a stream slice can take
+        raise ValidationError(f"instance budget must be at most {sys.maxsize}, got {budget}")
     for n in range(fam.k, min(n_max, fam.k + budget - 1) + 1):
         check_universe_budget(fam, n)
     return n_max, budget, seed

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -31,6 +32,7 @@ from .core import (
     DEFAULT_ASSIGNMENT_BUDGET,
     Instance,
     PredicateFamily,
+    _max_satisfied,
     brute_force_opt,
     canonical_instance,
     check_universe_budget,
@@ -93,8 +95,47 @@ class SearchConfig:
             raise ValidationError("max_constraints must be positive")
         if self.budget < 1:
             raise ValidationError("budget must be positive")
+        if self.budget > sys.maxsize:  # the most instances a stream slice can take
+            raise ValidationError(f"budget must be at most {sys.maxsize}, got {self.budget}")
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ValidationError(f"unknown mode {self.mode!r}")
+
+
+def _entries(cfg: SearchConfig):
+    """The stream of `enumerate_instances`, unbuilt: (n, constraints, compiled).
+
+    `compiled` holds the same constraints in the (weight, predicate, 0-based
+    scope) form `core._max_satisfied` reads; each universe constraint is
+    compiled once per n.
+    """
+    fam = cfg.family
+
+    def compiled_universe(n):
+        check_universe_budget(fam, n)
+        return tuple(
+            (c, (c.weight, fam[c.predicate], tuple(v - 1 for v in c.variables)))
+            for c in constraint_universe(fam, n)
+        )
+
+    if cfg.mode == EXHAUSTIVE:
+        for n in range(cfg.n_min, cfg.n_max + 1):
+            universe = compiled_universe(n)
+            for m in range(1, cfg.max_constraints + 1):
+                for combo in itertools.combinations_with_replacement(universe, m):
+                    yield (n, *zip(*combo))
+    else:
+        rng = random.Random(cfg.seed)
+        universes = {}
+        while True:
+            n = rng.randint(cfg.n_min, cfg.n_max)
+            if n not in universes:
+                universes[n] = compiled_universe(n)
+            universe = universes[n]
+            m = rng.randint(1, cfg.max_constraints)
+            picks = sorted(
+                (rng.randrange(len(universe)) for _ in range(m))
+            )
+            yield (n, *zip(*(universe[i] for i in picks)))
 
 
 def enumerate_instances(cfg: SearchConfig):
@@ -104,29 +145,11 @@ def enumerate_instances(cfg: SearchConfig):
     lists, unit weights) over each variable count, in lexicographic order;
     random mode yields seeded uniform samples from the same universe.  A
     count whose q^n or universe size exceeds the default assignment budget
-    raises `BudgetError` before its universe is built.
+    raises `BudgetError` before its universe is built.  `search_gap` reads
+    the same stream unbuilt, from `_entries`.
     """
-    if cfg.mode == EXHAUSTIVE:
-        for n in range(cfg.n_min, cfg.n_max + 1):
-            check_universe_budget(cfg.family, n)
-            universe = constraint_universe(cfg.family, n)
-            for m in range(1, cfg.max_constraints + 1):
-                for combo in itertools.combinations_with_replacement(universe, m):
-                    yield Instance(cfg.family, n, combo)
-    else:
-        rng = random.Random(cfg.seed)
-        universes = {}
-        while True:
-            n = rng.randint(cfg.n_min, cfg.n_max)
-            if n not in universes:
-                check_universe_budget(cfg.family, n)
-                universes[n] = constraint_universe(cfg.family, n)
-            universe = universes[n]
-            m = rng.randint(1, cfg.max_constraints)
-            picks = sorted(
-                (rng.randrange(len(universe)) for _ in range(m))
-            )
-            yield Instance(cfg.family, n, tuple(universe[i] for i in picks))
+    for n, constraints, _ in _entries(cfg):
+        yield Instance(cfg.family, n, constraints)
 
 
 @dataclass(frozen=True)
@@ -284,6 +307,20 @@ class SearchOutcome:
         return self.certificate is not None
 
 
+def _csp_at_most(beta: Fraction, q: int, n: int, compiled):
+    """(csp, first maximizer) of compiled constraints on n variables, the pair
+    `brute_force_opt` gives, or None when csp > beta.
+
+    One exhaustive search stops at the least satisfied weight above beta
+    times the total weight: an assignment that reaches it shows csp > beta,
+    and a search that finds none ran in full.
+    """
+    total = sum(weight for weight, _, _ in compiled)
+    stop = beta.numerator * total // beta.denominator + 1
+    sat, witness = _max_satisfied(q, n, compiled, stop)
+    return None if sat >= stop else (Fraction(sat, total), witness)
+
+
 def search_gap(
     cfg: SearchConfig,
     maximize_gap: bool = False,
@@ -295,26 +332,32 @@ def search_gap(
     Default semantics: certify the first qualifying instance in stream
     order.  With maximize_gap the whole budget is spent and the qualifying
     instance with the largest lp - csp difference (earliest on ties) is
-    certified.  Instances are evaluated one at a time, in stream order, by
-    brute force first.  An instance with csp > beta cannot qualify and
-    gets no relaxation; for any other one the relaxation is solved once per
-    `canonical_instance` class of the call, on the class's first member,
-    and looked up for every later member.  The chosen instance is always
-    the first member of its class (its later members share its values and
-    never win a tie), so that solve is the certificate's.
+    certified.  Entries of the unbuilt stream (`_entries`) are evaluated one
+    at a time, in stream order, by `_csp_at_most`: one exhaustive search on
+    their compiled constraints that stops at the first assignment above
+    beta.  An entry with csp > beta cannot qualify and is never built.  For
+    any other one the search ran in full and gave the exact optimum and its
+    first maximizer, as `brute_force_opt` would; only then is the `Instance`
+    built, and its relaxation is solved once per `canonical_instance` class
+    of the call, on the class's first member, and looked up for every later
+    member.  The chosen instance is always the first member of its class
+    (its later members share its values and never win a tie), so that solve
+    is the certificate's.
     """
     no_sup_budget = check_no_sup_budget(no_sup_budget)
     solutions = {}  # canonical instance -> verified solution of its first member
     evaluated = 0
     qualifying = 0
     best = None  # GapReport of the best qualifying instance so far
-    for inst in itertools.islice(enumerate_instances(cfg), cfg.budget):
-        csp, witness = brute_force_opt(inst)
+    for n, constraints, compiled in itertools.islice(_entries(cfg), cfg.budget):
+        optimum = _csp_at_most(cfg.beta, cfg.family.q, n, compiled)
         evaluated += 1
         if progress is not None and evaluated % 100 == 0:
             progress(evaluated)
-        if csp > cfg.beta:
+        if optimum is None:  # csp > beta: cannot qualify
             continue
+        csp, witness = optimum
+        inst = Instance(cfg.family, n, constraints)
         key = canonical_instance(inst)
         if key not in solutions:
             solutions[key] = solve_basic_lp(inst)

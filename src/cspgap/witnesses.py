@@ -163,27 +163,34 @@ class _KernelScorer:
     """The prover's evaluator for the no-side value of one distribution.
 
     `score` takes a kernel as q rows of counts that sum to `SNAP_DENOMINATOR`
-    and returns an integer: the atom weights are put over their lcm W once,
-    and `product_mass` runs on the weights and the counts.  Every score of a
-    search shares the denominator W * 64**k, so comparing scores compares
-    values, and `fraction` turns the winner into the exact value, equal to
+    and returns an integer from one `product_mass` call.  The atom weights
+    are put over their lcm W once, and every satisfying tuple b of every
+    atom (a, weight) becomes one index tuple (atom, a_1*q + b_1, ...,
+    a_k*q + b_k) into the factors (weights, flat, ..., flat), where `flat`
+    is the kernel's rows laid end to end: its term is the atom's weight
+    times the product over l of K[a_l][b_l].  Every score of a search
+    shares the denominator W * 64**k, so comparing scores compares values,
+    and `fraction` turns the winner into the exact value, equal to
     `_ReferenceScorer`'s.
     """
 
     def __init__(self, dist: PairDistribution):
+        q, k = dist.family.q, dist.family.k
         satisfying = {p.name: p.satisfying_tuples() for p in dist.family.predicates}
         scale = lcm(*(weight.denominator for weight in dist.mass.values()))
-        self.denominator = scale * SNAP_DENOMINATOR**dist.family.k
-        self.atoms = [
-            (satisfying[name], values, weight.numerator * (scale // weight.denominator))
-            for (name, values), weight in dist.atoms()
-        ]
+        self.denominator = scale * SNAP_DENOMINATOR**k
+        self.weights = []
+        self.tuples = []
+        for atom, ((name, values), weight) in enumerate(dist.atoms()):
+            self.weights.append(weight.numerator * (scale // weight.denominator))
+            self.tuples.extend(
+                (atom, *(a * q + b for a, b in zip(values, sat))) for sat in satisfying[name]
+            )
+        self.k = k
 
     def score(self, rows) -> int:
-        total = 0
-        for satisfying, values, weight in self.atoms:
-            total += product_mass(satisfying, [rows[v] for v in values], weight)
-        return total
+        flat = [c for row in rows for c in row]
+        return product_mass(self.tuples, (self.weights, *(flat,) * self.k))
 
     def fraction(self, score) -> Fraction:
         return Fraction(score, self.denominator)

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import pathlib
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -308,6 +309,37 @@ def test_family_stats_checks_its_enumeration_flags_before_the_lattice_scan(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("budget", [sys.maxsize + 1, 10**20])
+@pytest.mark.parametrize("command", ["gap-search", "family-stats"])
+def test_a_budget_above_sys_maxsize_is_one_error_line(
+    command, budget, cut_family_file, tmp_path, capsys
+):
+    """No stream slice takes more than sys.maxsize instances: such a budget
+    is refused with exit 2, not a traceback and exit 1, which reads as "no"."""
+    path = tmp_path / "two.json"  # two predicates, so family-stats draws random instances
+    path.write_text(canonical_dumps(family_to_dict(
+        PredicateFamily((*cut_family().predicates, *dicut_family().predicates))
+    )))
+    argv, prefix = {
+        "gap-search": (["gap-search", "--family", cut_family_file, "--gamma", "1",
+                        "--beta", "1/2", "--n-max", "3"], ""),
+        "family-stats": (["family-stats", str(path)], "instance "),
+    }[command]
+    assert main([*argv, "--budget", str(budget)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {prefix}budget must be at most {sys.maxsize}, got {budget}\n"
+    )
+
+
+def test_a_budget_of_sys_maxsize_still_runs(cut_family_file, capsys):
+    argv = ["gap-search", "--family", cut_family_file, "--gamma", "1", "--beta", "1/2",
+            "--n-max", "3", "--max-constraints", "1", "--budget", str(sys.maxsize)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith("(8 instances evaluated)\n")
+    # one predicate: only the complete instances on k..n_max are searched
+    assert main(["family-stats", cut_family_file, "--budget", str(sys.maxsize)]) == 0
+
+
 def test_family_stats_searches_twenty_variables(capsys):
     # the complete instances on 2..20 variables: 2^20 assignments at n = 20
     argv = ["family-stats", str(DATA / "cut_family.json"), "--json", "--n-max", "20"]
@@ -432,7 +464,7 @@ def test_kernel_search_budget_is_checked_before_any_evaluation(
         raise AssertionError("instance evaluated before the budget check")
 
     monkeypatch.setattr("cspgap.basic_lp.gap_report", no_evaluation)
-    for name in ("brute_force_opt", "solve_basic_lp"):
+    for name in ("_csp_at_most", "solve_basic_lp"):
         monkeypatch.setattr(f"cspgap.search.{name}", no_evaluation)
     targets = ["--gamma", "1/1", "--beta", "2/3", "--no-sup-budget", budget]
     assert main(["gap-check", triangle_file, *targets]) == 2

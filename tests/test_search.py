@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cspgap.basic_lp
+import cspgap.core
 import cspgap.lp
 import cspgap.search
 import cspgap.witnesses
@@ -41,6 +42,7 @@ from cspgap import (
     verify_certificate,
 )
 from cspgap.cli import main
+from cspgap.core import BLOCK_LANES, Predicate, PredicateFamily
 from cspgap.rationals import to_fraction
 from cspgap.search import EXHAUSTIVE, RANDOM, check_targets
 from cspgap.witnesses import check_no_sup_budget, support_classification
@@ -269,7 +271,8 @@ def test_search_refuses_a_chosen_instance_its_relaxation_was_not_solved_on(monke
     k5 = Instance(dicut_family(), 5, tuple(
         Constraint("dicut", (u, v)) for u in range(1, 6) for v in range(1, 6) if u != v
     ))
-    monkeypatch.setattr(cspgap.search, "enumerate_instances", lambda config: iter([directed, k5]))
+    entries = [(inst.n, inst.constraints, inst.compiled) for inst in (directed, k5)]
+    monkeypatch.setattr(cspgap.search, "_entries", lambda config: iter(entries))
     config = cfg(family=dicut_family(), n_min=3, n_max=5, gamma=Fraction(1, 2),
                  beta=Fraction(1, 3), budget=2)
     assert search_gap(config, maximize_gap=True).certificate.instance == k5
@@ -278,6 +281,72 @@ def test_search_refuses_a_chosen_instance_its_relaxation_was_not_solved_on(monke
     monkeypatch.setattr(cspgap.search, "canonical_instance", lambda inst: 0)
     with pytest.raises(InternalError, match="merged non-isomorphic instances"):
         search_gap(config, maximize_gap=True)
+
+
+@st.composite
+def pre_tests(draw):
+    """(beta, instance) for the search's pre-test `_csp_at_most`.
+
+    q <= 3 and k <= 3, with n either small or past one block of lanes
+    (q^n > BLOCK_LANES); weights 1-3; beta a third of 1/W from a
+    satisfiable weight t/W, or at it, so both sides of every boundary show.
+    """
+    q = draw(st.sampled_from((2, 3)), label="q")
+    k = draw(st.integers(1, 3), label="k")
+    wide = {2: 13, 3: 8}[q]  # q**wide > BLOCK_LANES
+    n = draw(st.one_of(st.integers(k, 5), st.just(wide)), label="n")
+    table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
+    tables = draw(st.lists(table, min_size=1, max_size=2), label="tables")
+    fam = PredicateFamily(tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables)))
+    constraints = draw(st.lists(st.builds(
+        Constraint,
+        st.sampled_from(fam.names),
+        st.permutations(range(1, n + 1)).map(lambda order: tuple(order[:k])),
+        st.integers(1, 3),
+    ), min_size=1, max_size=6), label="constraints")
+    inst = Instance(fam, n, constraints)
+    t = draw(st.integers(0, inst.total_weight), label="t")
+    shift = draw(st.sampled_from((-1, 0, 1)), label="shift")
+    return max(Fraction(0), Fraction(3 * t + shift, 3 * inst.total_weight)), inst
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pre_tests())
+# C13 under cut, 2^13 assignments in two blocks: csp 12/13, at beta and above it
+@example(case=(Fraction(12, 13), cycle_instance(13)))
+@example(case=(Fraction(11, 13), cycle_instance(13)))
+def test_search_pre_test_matches_brute_force(case):
+    """The pre-test rejects exactly the instances with csp > beta, and gives
+    any other one `brute_force_opt`'s (csp, witness)."""
+    beta, inst = case
+    assert inst.n < 6 or inst.family.q**inst.n > BLOCK_LANES
+    csp, witness = brute_force_opt(inst)
+    found = cspgap.search._csp_at_most(beta, inst.family.q, inst.n, inst.compiled)
+    assert found == (None if csp > beta else (csp, witness))
+
+
+def test_search_builds_only_the_instances_at_most_beta(monkeypatch):
+    """On dicut, an `Instance` is built only for the stream entries with
+    csp <= beta, and `brute_force_opt` is never called."""
+    config = cfg(family=dicut_family(), n_min=2, n_max=4, gamma=Fraction(1, 2),
+                 beta=Fraction(1, 3), budget=300)
+    stream = list(itertools.islice(enumerate_instances(config), config.budget))
+    at_most_beta = [inst for inst in stream if brute_force_opt(inst)[0] <= config.beta]
+    built = []
+
+    def counting(family, n, constraints):
+        built.append(Instance(family, n, constraints))
+        return built[-1]
+
+    def no_brute_force(*args, **kwargs):
+        raise AssertionError("gap-search called brute_force_opt")
+
+    monkeypatch.setattr(cspgap.search, "Instance", counting)
+    monkeypatch.setattr(cspgap.search, "brute_force_opt", no_brute_force)
+    monkeypatch.setattr(cspgap.core, "brute_force_opt", no_brute_force)
+    outcome = search_gap(config, maximize_gap=True)
+    assert (outcome.evaluated, outcome.found) == (config.budget, True)
+    assert built == at_most_beta and 0 < len(built) < len(stream) // 10
 
 
 def reference_search(config, maximize_gap):

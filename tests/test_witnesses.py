@@ -253,11 +253,38 @@ def count_kernel_rows(q):
     return st.lists(row, min_size=q, max_size=q).map(tuple)
 
 
+def k3_family(q):
+    """Two arity-3 predicates over [q]: all-distinct (q = 3) or majority
+    (q = 2), and coordinate sum 0 mod q."""
+    cube = list(itertools.product(range(q), repeat=3))
+    first = (lambda a: len(set(a)) == 3) if q == 3 else (lambda a: sum(a) >= 2)
+    return PredicateFamily((
+        Predicate(q, 3, "first", tuple(int(first(a)) for a in cube)),
+        Predicate(q, 3, "sum0", tuple(int(sum(a) % q == 0) for a in cube)),
+    ))
+
+
+# k = 3 on both alphabets, over mixed denominators
+K3_CASES = [
+    (PairDistribution(k3_family(2), {
+        ("first", (1, 1, 0)): Fraction(1, 3), ("sum0", (1, 0, 1)): Fraction(2, 5),
+        ("first", (0, 1, 1)): Fraction(4, 15),
+    }), ((16, 48), (40, 24))),
+    (PairDistribution(k3_family(3), {
+        ("first", (0, 1, 2)): Fraction(1, 7), ("sum0", (1, 1, 1)): Fraction(3, 7),
+        ("first", (2, 0, 1)): Fraction(2, 7), ("sum0", (2, 0, 1)): Fraction(1, 7),
+    }), ((10, 20, 34), (0, 64, 0), (33, 1, 30))),
+]
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_integer_scorer_equals_the_reference_exactly(data):
-    dist = data.draw(mixed_pair_distributions(), label="dist")
-    counts = data.draw(count_kernel_rows(dist.family.q), label="counts")
+@given(case=mixed_pair_distributions().flatmap(
+    lambda dist: st.tuples(st.just(dist), count_kernel_rows(dist.family.q))
+))
+@example(case=K3_CASES[0])
+@example(case=K3_CASES[1])
+def test_integer_scorer_equals_the_reference_exactly(case):
+    dist, counts = case
     scorer = witnesses._KernelScorer(dist)
     score = scorer.score(counts)
     assert type(score) is int
