@@ -25,8 +25,11 @@ gap-search's pre-test `search._csp_at_most`, which stops at the first
 assignment above beta before any `Instance` is built.  It scores blocks of
 assignments at once in the lanes of a Python integer: one lane per
 assignment, one 0/1 lane mask per constraint, and one weighted sum of masks
-per block.  An enumeration refuses a variable count whose q^n or constraint
-universe exceeds `DEFAULT_ASSIGNMENT_BUDGET` before it builds either.
+per block.  `constraint_universe` is the one enumeration of the constraints
+on n variables, as compiled entries that every instance stream reads, and
+`constraints_of` is its inverse back to `Constraint`s.  An enumeration
+refuses a variable count whose q^n or constraint universe exceeds
+`DEFAULT_ASSIGNMENT_BUDGET` before it builds either.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .rationals import as_int, int_tuple, to_fraction
 # constraints of a universe that a search enumerates.
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
-# Ceiling on the lattice lines `rho_product_lower` scans: q = 4 at the
-# default precision 1/64 (denominator 256) has 33153 of them.
+# Ceiling on the lattice lines `rho_product_lower` scans and on their points:
+# q = 4 at 1/64 (denominator 256) has 33153 lines, q = 2 one line of 257 points.
 LATTICE_LINE_BUDGET = 1 << 17
 
 # Symbols of [q] as written in files and LP labels; bounds q from above.
@@ -540,9 +543,9 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     over its positive differences d_j at t = 0; a line where that sum is no
     greater than the best for some predicate cannot win and is skipped.
     The ascent scores single points and stops at the first predicate whose
-    mass is no greater than the best.  The grid has
-    C(N + q - 2, q - 2) lines; above `LATTICE_LINE_BUDGET` of them the scan
-    is refused with `BudgetError` before it starts.
+    mass is no greater than the best.  The grid has C(N + q - 2, q - 2) lines
+    of at most N + 1 points; when either passes `LATTICE_LINE_BUDGET` (the
+    points only at q = 2) the scan is refused with `BudgetError` at once.
     """
     precision = to_fraction(precision)
     if precision <= 0:
@@ -551,11 +554,12 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     denominator = 64
     while Fraction(k * q, 2 * denominator) > precision:
         denominator *= 2
-    if math.comb(denominator + q - 2, q - 2) > LATTICE_LINE_BUDGET:
+    if max(math.comb(denominator + q - 2, q - 2), denominator + 1) > LATTICE_LINE_BUDGET:
+        size = (f"C({denominator + q - 2}, {q - 2}) lines" if q > 2
+                else f"one line of {denominator + 1} points")
         raise BudgetError(
-            f"the q = {q} product lattice at denominator {denominator} has"
-            f" C({denominator + q - 2}, {q - 2}) lines, budget is {LATTICE_LINE_BUDGET};"
-            " use a coarser --precision"
+            f"the q = {q} product lattice at denominator {denominator} has {size},"
+            f" budget is {LATTICE_LINE_BUDGET}; use a coarser --precision"
         )
 
     sat = [p.satisfying_tuples() for p in fam.predicates]
@@ -647,13 +651,6 @@ def rho_product_lower(fam: PredicateFamily, precision) -> Fraction:
     return Fraction(best, den**k)
 
 
-def _universe_scopes(fam: PredicateFamily, n: int):
-    """(predicate, 0-based scope) of every constraint on n variables, in canonical order."""
-    return (
-        (p, scope) for p in fam.predicates for scope in itertools.permutations(range(n), fam.k)
-    )
-
-
 def check_universe_budget(fam: PredicateFamily, n: int) -> None:
     """Raise BudgetError unless q^n and n's universe size both fit DEFAULT_ASSIGNMENT_BUDGET.
 
@@ -669,17 +666,23 @@ def check_universe_budget(fam: PredicateFamily, n: int) -> None:
 
 
 def constraint_universe(fam: PredicateFamily, n: int) -> tuple:
-    """All unit-weight constraints on n variables, in canonical order."""
+    """All unit-weight constraints on n variables as (1, predicate, 0-based scope), the form
+    of `Instance.compiled`: predicates in family order, then scopes in permutation order."""
     return tuple(
-        Constraint(p.name, tuple(v + 1 for v in scope)) for p, scope in _universe_scopes(fam, n)
+        (1, p, scope) for p in fam.predicates for scope in itertools.permutations(range(n), fam.k)
     )
+
+
+def constraints_of(compiled) -> tuple:
+    """The `Constraint`s of compiled (weight, predicate, 0-based scope) entries, in order."""
+    return tuple(Constraint(p.name, tuple(v + 1 for v in scope), w) for w, p, scope in compiled)
 
 
 def complete_instance(fam: PredicateFamily, n: int) -> Instance:
     """Every predicate applied to every ordered tuple of distinct variables, unit weights."""
     if n < fam.k:
         raise ValidationError(f"need n >= k = {fam.k}, got {n}")
-    return Instance(fam, n, constraint_universe(fam, n))
+    return Instance(fam, n, constraints_of(constraint_universe(fam, n)))
 
 
 # Most labelings `canonical_instance` compares; above it an instance keeps
@@ -744,16 +747,15 @@ def _upper_stream(fam: PredicateFamily, n_max: int, rng: random.Random):
 
     A pick is a constraint in the (weight, predicate, 0-based scope) form
     that `_max_satisfied` reads.  The complete instances on k..n_max
-    variables come first, then random instances drawn with `rng` from each
-    n's constraint universe at weights 1 and 2, built once per n.  Each n, m,
+    variables, each n's `constraint_universe`, come first, then random
+    instances drawn with `rng` from it at weights 1 and 2.  Each n, m,
     pick and weight is drawn by `_below`, as randint and choice would draw it.
     """
     universes = {}
     for t in range(fam.k, n_max + 1):
-        universes[t] = tuple(
-            tuple((weight, p, scope) for weight in (1, 2)) for p, scope in _universe_scopes(fam, t)
-        )
-        yield t, [pair[0] for pair in universes[t]]
+        complete = constraint_universe(fam, t)
+        universes[t] = tuple((c, (2, *c[1:])) for c in complete)
+        yield t, complete
     getrandbits = rng.getrandbits
     while True:
         n = fam.k + _below(getrandbits, n_max - fam.k + 1)

@@ -37,6 +37,7 @@ from .core import (
     canonical_instance,
     check_universe_budget,
     constraint_universe,
+    constraints_of,
     csp_value,
 )
 from .errors import BudgetError, InternalError, ValidationError
@@ -95,6 +96,9 @@ class SearchConfig:
             raise ValidationError("max_constraints must be positive")
         if self.budget < 1:
             raise ValidationError("budget must be positive")
+        if self.max_constraints > DEFAULT_ASSIGNMENT_BUDGET:  # the most picks a draw sorts
+            raise ValidationError(f"max_constraints must be at most {DEFAULT_ASSIGNMENT_BUDGET},"
+                                  f" got {self.max_constraints}")
         if self.budget > sys.maxsize:  # the most instances a stream slice can take
             raise ValidationError(f"budget must be at most {sys.maxsize}, got {self.budget}")
         if self.mode not in (EXHAUSTIVE, RANDOM):
@@ -102,40 +106,32 @@ class SearchConfig:
 
 
 def _entries(cfg: SearchConfig):
-    """The stream of `enumerate_instances`, unbuilt: (n, constraints, compiled).
+    """The stream of `enumerate_instances`, unbuilt: (n, compiled) per instance.
 
-    `compiled` holds the same constraints in the (weight, predicate, 0-based
-    scope) form `core._max_satisfied` reads; each universe constraint is
-    compiled once per n.
+    `compiled` is a tuple of entries of n's `constraint_universe`, the
+    (weight, predicate, 0-based scope) form `core._max_satisfied` reads;
+    `constraints_of(compiled)` gives the instance's constraints.
     """
     fam = cfg.family
-
-    def compiled_universe(n):
-        check_universe_budget(fam, n)
-        return tuple(
-            (c, (c.weight, fam[c.predicate], tuple(v - 1 for v in c.variables)))
-            for c in constraint_universe(fam, n)
-        )
-
     if cfg.mode == EXHAUSTIVE:
         for n in range(cfg.n_min, cfg.n_max + 1):
-            universe = compiled_universe(n)
+            check_universe_budget(fam, n)
+            universe = constraint_universe(fam, n)
             for m in range(1, cfg.max_constraints + 1):
-                for combo in itertools.combinations_with_replacement(universe, m):
-                    yield (n, *zip(*combo))
+                for compiled in itertools.combinations_with_replacement(universe, m):
+                    yield n, compiled
     else:
         rng = random.Random(cfg.seed)
         universes = {}
         while True:
             n = rng.randint(cfg.n_min, cfg.n_max)
             if n not in universes:
-                universes[n] = compiled_universe(n)
+                check_universe_budget(fam, n)
+                universes[n] = constraint_universe(fam, n)
             universe = universes[n]
             m = rng.randint(1, cfg.max_constraints)
-            picks = sorted(
-                (rng.randrange(len(universe)) for _ in range(m))
-            )
-            yield (n, *zip(*(universe[i] for i in picks)))
+            picks = sorted(rng.randrange(len(universe)) for _ in range(m))
+            yield n, tuple(universe[i] for i in picks)
 
 
 def enumerate_instances(cfg: SearchConfig):
@@ -145,11 +141,11 @@ def enumerate_instances(cfg: SearchConfig):
     lists, unit weights) over each variable count, in lexicographic order;
     random mode yields seeded uniform samples from the same universe.  A
     count whose q^n or universe size exceeds the default assignment budget
-    raises `BudgetError` before its universe is built.  `search_gap` reads
-    the same stream unbuilt, from `_entries`.
+    raises `BudgetError` before its universe is built.  Each instance is built
+    from an entry of `_entries`, the stream `search_gap` reads unbuilt.
     """
-    for n, constraints, _ in _entries(cfg):
-        yield Instance(cfg.family, n, constraints)
+    for n, compiled in _entries(cfg):
+        yield Instance(cfg.family, n, constraints_of(compiled))
 
 
 @dataclass(frozen=True)
@@ -349,7 +345,7 @@ def search_gap(
     evaluated = 0
     qualifying = 0
     best = None  # GapReport of the best qualifying instance so far
-    for n, constraints, compiled in itertools.islice(_entries(cfg), cfg.budget):
+    for n, compiled in itertools.islice(_entries(cfg), cfg.budget):
         optimum = _csp_at_most(cfg.beta, cfg.family.q, n, compiled)
         evaluated += 1
         if progress is not None and evaluated % 100 == 0:
@@ -357,7 +353,7 @@ def search_gap(
         if optimum is None:  # csp > beta: cannot qualify
             continue
         csp, witness = optimum
-        inst = Instance(cfg.family, n, constraints)
+        inst = Instance(cfg.family, n, constraints_of(compiled))
         key = canonical_instance(inst)
         if key not in solutions:
             solutions[key] = solve_basic_lp(inst)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import cspgap
 from cspgap import Constraint, Instance, LpProblem, cut_family, dicut_family
 from cspgap import core
-from cspgap.core import constraint_universe
+from cspgap.core import constraint_universe, constraints_of
 
 
 def run_cli(args, **env):
@@ -51,11 +51,11 @@ def single_edge():
 
 def random_instance(rng, fam, n, m, max_weight=1):
     universe = constraint_universe(fam, n)
-    constraints = tuple(
-        Constraint(c.predicate, c.variables, rng.randint(1, max_weight))
-        for c in (rng.choice(universe) for _ in range(m))
+    compiled = tuple(
+        (rng.randint(1, max_weight), pred, scope)
+        for _, pred, scope in (rng.choice(universe) for _ in range(m))
     )
-    return Instance(fam, n, constraints)
+    return Instance(fam, n, constraints_of(compiled))
 
 
 def random_lp(rng, max_vars=12, max_rows=5):
@@ -114,10 +114,7 @@ def record_upper_stream(monkeypatch):
 
     def recording(fam, *args):
         for n, picks in stream(fam, *args):
-            seen.append(Instance(fam, n, tuple(
-                Constraint(pred.name, tuple(v + 1 for v in scope), weight)
-                for weight, pred, scope in picks
-            )))
+            seen.append(Instance(fam, n, constraints_of(picks)))
             yield n, picks
 
     monkeypatch.setattr(core, "_upper_stream", recording)

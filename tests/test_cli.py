@@ -366,6 +366,58 @@ def test_family_stats_refuses_a_lattice_over_budget(tmp_path, capsys):
     assert rho_product_lower(neq_family(4), Fraction(1, 64)) == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("precision, denominator", [
+    ("1/65536", 1 << 17), ("1/100000000", 1 << 28),
+])
+def test_family_stats_refuses_a_q2_lattice_line_over_budget(
+    precision, denominator, monkeypatch, capsys
+):
+    # q = 2 has one lattice line, of N + 1 points: refused before the scan
+    def scanned(*args):
+        raise AssertionError("lattice scanned")
+
+    monkeypatch.setattr(cspgap.core, "product_mass", scanned)
+    argv = ["family-stats", str(DATA / "cut_family.json"), "--precision", precision]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the q = 2 product lattice at denominator {denominator} has one line of"
+        f" {denominator + 1} points, budget is {LATTICE_LINE_BUDGET};"
+        " use a coarser --precision\n"
+    )
+
+
+def test_family_stats_scans_the_longest_q2_line_in_budget(capsys):
+    # 1/32768 needs N = 65536: a line of 65537 points, under the budget
+    assert 65536 + 1 <= LATTICE_LINE_BUDGET
+    argv = ["family-stats", str(DATA / "cut_family.json"), "--json", "--precision", "1/32768"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rho_lower"] == "1/2"
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("count", [1048577, 10**9])
+def test_gap_search_refuses_max_constraints_over_budget(
+    mode, count, cut_family_file, monkeypatch, capsys
+):
+    # a random draw sorts up to that many picks: refused before any universe or draw
+    def refused(*args):
+        raise AssertionError("universe built")
+
+    monkeypatch.setattr(cspgap.search, "constraint_universe", refused)
+    argv = ["gap-search", "--family", cut_family_file, "--gamma", "1", "--beta", "1/2",
+            "--n-max", "3", "--mode", mode, "--max-constraints", str(count), "--budget", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: max_constraints must be at most 1048576, got {count}\n"
+    )
+    # the ceiling itself is allowed
+    assert cspgap.search.SearchConfig(
+        cut_family(), 2, 3, 1048576, Fraction(1), Fraction(1, 2), mode=mode
+    ).max_constraints == 1048576
+
+
 def test_verify_cert_names_a_marginal_miss_as_the_solution_check_does(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     argv = ["gap-check", str(DATA / "c5.json"), "--gamma", "1/1", "--beta", "4/5"]

@@ -3,6 +3,7 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,14 @@ from cspgap import (
     verify_certificate,
 )
 from cspgap.cli import main
-from cspgap.core import BLOCK_LANES, Predicate, PredicateFamily
+from cspgap.core import (
+    BLOCK_LANES,
+    Predicate,
+    PredicateFamily,
+    complete_instance,
+    constraint_universe,
+    constraints_of,
+)
 from cspgap.rationals import to_fraction
 from cspgap.search import EXHAUSTIVE, RANDOM, check_targets
 from cspgap.witnesses import check_no_sup_budget, support_classification
@@ -185,6 +193,61 @@ def test_random_stream_is_deterministic():
     assert first == second
 
 
+@st.composite
+def small_stream_configs(draw):
+    """Configurations over 1-3 random predicates with q <= 3 and k <= 3, on at
+    most k + 2 variables, in either mode."""
+    q = draw(st.sampled_from((2, 3)), label="q")
+    k = draw(st.integers(1, 3), label="k")
+    table = st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k).map(tuple)
+    tables = draw(st.lists(table, min_size=1, max_size=3), label="tables")
+    n_min = draw(st.integers(k, k + 2), label="n_min")
+    return SearchConfig(
+        family=PredicateFamily(
+            tuple(Predicate(q, k, f"p{i}", t) for i, t in enumerate(tables))
+        ),
+        n_min=n_min,
+        n_max=draw(st.integers(n_min, k + 2), label="n_max"),
+        max_constraints=draw(st.integers(1, 3), label="max_constraints"),
+        gamma=Fraction(1),
+        beta=Fraction(1, 2),
+        mode=draw(st.sampled_from([EXHAUSTIVE, RANDOM]), label="mode"),
+        seed=draw(st.integers(0, 1000), label="seed"),
+        budget=draw(st.integers(1, 60), label="budget"),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_stream_configs())
+def test_stream_entries_are_universe_entries_that_build_back(config):
+    fam = config.family
+    entries = list(itertools.islice(cspgap.search._entries(config), config.budget))
+    instances = list(itertools.islice(enumerate_instances(config), config.budget))
+    if config.mode == EXHAUSTIVE:  # every multiset of 1..max_constraints universe entries
+        size = sum(
+            comb(len(constraint_universe(fam, n)) + m - 1, m)
+            for n in range(config.n_min, config.n_max + 1)
+            for m in range(1, config.max_constraints + 1)
+        )
+    else:
+        size = config.budget
+    assert len(instances) == len(entries) == min(size, config.budget)
+    for inst, (n, compiled) in zip(instances, entries):
+        universe = constraint_universe(fam, n)
+        assert set(compiled) <= set(universe)
+        rebuilt = Instance(fam, n, constraints_of(compiled))
+        assert rebuilt.compiled == compiled
+        assert inst == rebuilt
+    for n in {n for n, _ in entries}:
+        universe = constraint_universe(fam, n)
+        # predicates in family order, then the scopes in permutation order
+        assert universe == tuple(
+            (1, p, scope) for p in fam.predicates
+            for scope in itertools.permutations(range(n), fam.k)
+        )
+        assert complete_instance(fam, n).compiled == universe
+
+
 def test_search_finds_triangle_first():
     outcome = search_gap(cfg(beta=Fraction(2, 3)))
     assert outcome.found
@@ -271,7 +334,7 @@ def test_search_refuses_a_chosen_instance_its_relaxation_was_not_solved_on(monke
     k5 = Instance(dicut_family(), 5, tuple(
         Constraint("dicut", (u, v)) for u in range(1, 6) for v in range(1, 6) if u != v
     ))
-    entries = [(inst.n, inst.constraints, inst.compiled) for inst in (directed, k5)]
+    entries = [(inst.n, inst.compiled) for inst in (directed, k5)]
     monkeypatch.setattr(cspgap.search, "_entries", lambda config: iter(entries))
     config = cfg(family=dicut_family(), n_min=3, n_max=5, gamma=Fraction(1, 2),
                  beta=Fraction(1, 3), budget=2)
