@@ -7,6 +7,15 @@ digit strings in base q (digits 0-9a-z, so q <= 36), variable indices are
 trailing newline.  Canonical output makes byte-identical reruns a testable
 contract.
 
+`canonical_dumps` writes that form itself, the same text as
+`json.dumps(data, sort_keys=True, indent=2) + "\n"`: on Python 3.10 and
+3.11 an indented `json.dumps` always runs the pure-Python encoder, while
+this writer is one module-level recursive function over a list of pieces
+and escapes strings with json's C escaper.  `load_json` refuses what
+`json.load` would let through or fail on with a traceback: an object with a
+duplicate key (json keeps the last, so two readers of one file could see
+different values) and nesting too deep to parse.
+
 The tuple codec (`core.DIGITS`, `tuple_to_digits`, `digits_to_tuple`) lives
 in `core`, which the LP and witness layers share; the two functions are
 re-exported here.
@@ -15,6 +24,7 @@ re-exported here.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 
@@ -26,8 +36,85 @@ from .rationals import format_rational, parse_rational
 from .witnesses import PairDistribution, SymbolKernel
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper where CPython has it
+
+
 def canonical_dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """`data` as canonical JSON text: `json.dumps(data, sort_keys=True, indent=2)` plus a newline.
+
+    Object keys must be strings.  A value JSON cannot hold raises TypeError.
+    """
+    pieces = []
+    _write(data, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write(value, indent: str, pieces: list) -> None:
+    """Append the canonical text of `value`, whose lines start with `indent`
+    (a newline and the spaces of its depth), to `pieces`.
+
+    A module-level function, not a closure: a recursive closure refers to
+    itself through its cell, which leaves a reference cycle per call.
+    """
+    if isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            if type(item) is str:
+                pieces.append(f"{sep}{_escape(key)}: {_escape(item)}")
+            else:
+                pieces.append(f"{sep}{_escape(key)}: ")
+                _write(item, inner, pieces)
+            sep = "," + inner
+        pieces.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                pieces.append(sep + _escape(item))
+            elif type(item) is int:
+                pieces.append(sep + int.__repr__(item))
+            else:
+                pieces.append(sep)
+                _write(item, inner, pieces)
+            sep = "," + inner
+        pieces.append(indent + "]")
+    else:
+        pieces.append(_scalar(value))
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as json.dumps spells it (nan and infinities included)."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def strict(value, kind: type):
@@ -110,15 +197,32 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(fam, n, tuple(constraints))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's (key, value) pairs as a dict; a repeated key raises."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return data
+
+
 def load_json(path: str):
+    """The JSON value in `path`; malformed, duplicate-key or too deeply nested JSON raises."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno},"
                               f" column {exc.colno}: {exc.msg}") from exc
+    except ValidationError as exc:  # a duplicate key
+        raise ValidationError(f"{path}: {exc}") from None
     except ValueError as exc:  # bytes that are not UTF-8, or a NUL in the path
         raise ValidationError(f"{path!r}: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_family(path: str) -> PredicateFamily:

@@ -15,6 +15,9 @@ This module implements those objects exactly: marginal vectors (plain
 kernel-search falsifier, the one-wise-independence support decision (an
 exact LP feasibility question), and its lift to families.
 
+`construct_yes_no` sums both sides as integers over one denominator and
+checks the pair on those integers, so each atom becomes a `Fraction` once.
+
 The no-side value has two evaluators.  The prover's kernel search
 (`no_sup_search`) runs on integer counts over 1/`SNAP_DENOMINATOR`: every
 kernel of its stream lies on that grid, so `_KernelScorer` scores a kernel
@@ -83,10 +86,15 @@ def marginal_vector(dist: PairDistribution) -> dict:
     rows[l][s] is the probability that the sampled atom uses the predicate
     *and* has symbol s at position l; each row sums to the predicate's mass.
     """
-    fam = dist.family
+    return _marginal_rows(dist.family, dist.mass)
+
+
+def _marginal_rows(fam: PredicateFamily, mass: dict, zero=Fraction(0)) -> dict:
+    """`marginal_vector` of a {(name, tuple): mass} map, its sums starting from `zero`."""
     return {
         name: positional_marginals(
-            ((values, weight) for (f, values), weight in dist.atoms() if f == name), fam.q, fam.k
+            ((values, weight) for (f, values), weight in mass.items() if f == name),
+            fam.q, fam.k, zero,
         )
         for name in fam.names
     }
@@ -325,32 +333,49 @@ def construct_yes_no(inst: Instance, sol: LocalDistributionSolution):
     predicate; the no side replaces the local distribution by the product of
     the constraint's variable marginals.  Both are reweighted by constraint
     weight.  The solution checked itself against its own instance when it
-    was built, so here it only has to belong to `inst`.  Before returning,
-    the pair is checked exactly: equal marginal vectors, and yes-side
-    satisfaction equal to the solution objective.
+    was built, so here it only has to belong to `inst`.
+
+    Both sides are summed as integers over one denominator `den`, the lcm of
+    the solution's masses and marginals: a yes atom is a count over W * den
+    and a no atom one over W * den**k, W the total weight.  Before any atom
+    becomes a `Fraction`, the pair is checked exactly on those counts: equal
+    marginal vectors, and yes-side satisfaction equal to the solution
+    objective.
     """
     if sol.instance != inst:
         raise ValidationError("the solution belongs to a different instance")
     fam = inst.family
     q, k = fam.q, fam.k
-    yes_mass = {}
-    no_mass = {}
+    den = lcm(
+        *[v.denominator for marg in sol.marginals for v in marg],
+        *[v.denominator for masses in sol.locals_ for v in masses.values()],
+    )
+    marginals = [[v.numerator * (den // v.denominator) for v in marg] for marg in sol.marginals]
+    cube = list(itertools.product(range(q), repeat=k))
+    yes_counts = {}
+    no_counts = {}
     for ci, (weight, pred, scope) in enumerate(inst.compiled):
-        share = Fraction(weight, inst.total_weight)
         for values, mass in sol.locals_[ci].items():
             key = (pred.name, values)
-            yes_mass[key] = yes_mass.get(key, Fraction(0)) + share * mass
-        marginals = [sol.marginals[v] for v in scope]
-        for values in itertools.product(range(q), repeat=k):
-            if prob := product_mass((values,), marginals, share):
+            count = weight * mass.numerator * (den // mass.denominator)
+            yes_counts[key] = yes_counts.get(key, 0) + count
+        factors = [marginals[v] for v in scope]
+        for values in cube:
+            if count := product_mass((values,), factors, weight):
                 key = (pred.name, values)
-                no_mass[key] = no_mass.get(key, Fraction(0)) + prob
-    yes_dist = PairDistribution(fam, yes_mass)
-    no_dist = PairDistribution(fam, no_mass)
-    if marginal_vector(yes_dist) != marginal_vector(no_dist):
+                no_counts[key] = no_counts.get(key, 0) + count
+    lift = den ** (k - 1)  # from W * den to W * den**k
+    lifted = {key: count * lift for key, count in yes_counts.items()}
+    if _marginal_rows(fam, lifted, 0) != _marginal_rows(fam, no_counts, 0):
         raise InternalError("yes/no construction produced mismatched marginals")
-    if yes_value(yes_dist) != sol.value:
+    yes_den = inst.total_weight * den
+    satisfied = sum(c for (name, values), c in yes_counts.items() if fam[name].value(values))
+    value_num, value_den = sol.value.as_integer_ratio()
+    if satisfied * value_den != value_num * yes_den:
         raise InternalError("yes-side satisfaction differs from the solution objective")
+    no_den = yes_den * lift
+    yes_dist = PairDistribution(fam, {key: Fraction(c, yes_den) for key, c in yes_counts.items()})
+    no_dist = PairDistribution(fam, {key: Fraction(c, no_den) for key, c in no_counts.items()})
     return yes_dist, no_dist
 
 

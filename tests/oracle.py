@@ -14,6 +14,9 @@ must reproduce exactly.  `no_value_reference` is the plain tuple-by-tuple
 no-side value that `cspgap.witnesses.no_value` must reproduce on any kernel,
 and `kernel_stream_reference` the kernel search on `Fraction` rows that the
 prover's integer-count stream must reproduce kernel by kernel.
+`construct_yes_no_reference` is the yes/no construction summed in
+`Fraction`s, whose pair (atom order included) `cspgap.witnesses.construct_yes_no`
+must reproduce from its integer sums.
 """
 
 import random
@@ -34,7 +37,8 @@ from cspgap import (
     brute_force_opt,
     complete_instance,
 )
-from cspgap.core import PredicateWidth, compositions
+from cspgap.core import PredicateWidth, compositions, product_mass
+from cspgap.witnesses import PairDistribution
 
 
 def _solve_on_columns(rows, rhs, selected):
@@ -344,3 +348,25 @@ def kernel_stream_reference(dist, budget, seed):
         scored.append((no_value_reference(dist, rows), rows))
     best = max(value for value, _ in scored)
     return [rows for _, rows in scored], best, min(rows for value, rows in scored if value == best)
+
+
+def construct_yes_no_reference(inst, sol):
+    """The matched-marginal yes/no pair summed atom by atom in `Fraction`s.
+
+    Each constraint of weight w adds w/W times its local distribution to the
+    yes side and w/W times the product of its variables' marginals to the
+    no side, W the total weight; atoms keep their order of first appearance.
+    """
+    fam = inst.family
+    yes_mass, no_mass = {}, {}
+    for ci, (weight, pred, scope) in enumerate(inst.compiled):
+        share = Fraction(weight, inst.total_weight)
+        for values, mass in sol.locals_[ci].items():
+            key = (pred.name, values)
+            yes_mass[key] = yes_mass.get(key, Fraction(0)) + share * mass
+        marginals = [sol.marginals[v] for v in scope]
+        for values in product(range(fam.q), repeat=fam.k):
+            if prob := product_mass((values,), marginals, share):
+                key = (pred.name, values)
+                no_mass[key] = no_mass.get(key, Fraction(0)) + prob
+    return PairDistribution(fam, yes_mass), PairDistribution(fam, no_mass)

@@ -656,6 +656,61 @@ def test_undecodable_file_is_operational_error(tmp_path, capsys):
     assert "can't decode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lp-solve", "{path}"],
+    ["gap-check", "{path}", "--gamma", "1", "--beta", "1/2"],
+    ["verify-cert", "{path}"],
+    ["family-stats", "{path}"],
+    ["gap-search", "--family", "{path}", "--gamma", "1", "--beta", "1/2", "--n-max", "3"],
+], ids=lambda argv: argv[0])
+def test_json_nested_too_deeply_is_one_error_line(argv, tmp_path, capsys):
+    # json's parser recurses once per level and raises RecursionError far
+    # below this depth; exit 1 would read as a "no"
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: JSON nested too deeply to read\n")
+
+
+def _duplicate_family_key(text: str) -> str:
+    return text.replace('  "q": 2\n', '  "q": 2,\n  "q": 3\n', 1)
+
+
+def _duplicate_constraint_key(text: str) -> str:
+    return text.replace('"w": 1\n', '"w": 1,\n      "w": 2\n', 1)
+
+
+def _duplicate_gamma(text: str) -> str:
+    return text.replace('  "gamma": "1/1",\n', '  "gamma": "1/1",\n  "gamma": "1/2",\n', 1)
+
+
+@pytest.mark.parametrize("command, duplicate, key", [
+    ("family-stats", _duplicate_family_key, "q"),
+    ("lp-solve", _duplicate_constraint_key, "w"),
+    ("verify-cert", _duplicate_gamma, "gamma"),
+], ids=["family", "instance", "certificate"])
+def test_a_duplicate_json_key_is_one_error_line(
+    command, duplicate, key, cut_family_file, triangle_file, tmp_path, capsys
+):
+    # json keeps the last value of a repeated key, so a file that passes its
+    # digest could read differently to another reader: it is refused
+    path = tmp_path / "input.json"
+    if command == "verify-cert":
+        argv = ["gap-check", triangle_file, "--gamma", "1/1", "--beta", "2/3"]
+        assert main([*argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+    else:
+        source = cut_family_file if command == "family-stats" else triangle_file
+        text = pathlib.Path(source).read_text()
+    mutated = duplicate(text)
+    assert mutated != text
+    path.write_text(mutated)
+    assert main([command, str(path)]) == 2
+    message = f"error: {path}: duplicate key {key!r} in a JSON object\n"
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.fixture(scope="module")
 def triangle_certificate(tmp_path_factory):
     cert = build_certificate(gap_report(triangle()), Fraction(1), Fraction(2, 3))

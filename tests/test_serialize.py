@@ -168,3 +168,34 @@ def test_canonical_dumps_is_sorted_and_stable():
     assert a == b
     assert json.loads(a) == {"a": [2, 3], "b": 1}
     assert a.endswith("\n")
+
+
+JSON_TEXT = st.text() | st.text(st.characters(max_codepoint=0x20)) | st.sampled_from(
+    ["", "é", " ", "\U0001f600", '"\\/', "\x00\x7f"]
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**80), 10**80)
+    | st.floats()  # nan and the infinities too, spelled as json spells them
+    | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=JSON_VALUES)
+def test_canonical_dumps_writes_what_json_dumps_writes(value):
+    assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    object(), {"a": [1, {2}]}, Fraction(1, 2), b"01", {"a": {1: "b"}}, {1: "a", "b": 2},
+], ids=["object", "set", "Fraction", "bytes", "int key", "mixed keys"])
+def test_canonical_dumps_refuses_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        canonical_dumps(value)

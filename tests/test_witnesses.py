@@ -1,5 +1,6 @@
 """Pair distributions, kernels, the yes/no construction, and one-wise support."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -8,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import cycle_instance, random_instance, seeded, triangle
+from cspgap import search
 from cspgap import witnesses
 from cspgap import (
     PairDistribution,
+    Constraint,
+    Instance,
     Predicate,
     PredicateFamily,
     SymbolKernel,
@@ -20,17 +24,19 @@ from cspgap import (
     cut_family,
     dicut_family,
     gap_report,
+    lp_from_onewise,
     marginal_vector,
     no_sup_search,
     no_value,
     onewise_support,
     point_mass_solution,
     rho_product_lower,
+    solve_basic_lp,
     support_classification,
     yes_value,
 )
 from cspgap.serialize import canonical_dumps, pair_distribution_to_dict
-from oracle import kernel_stream_reference, no_value_reference
+from oracle import construct_yes_no_reference, kernel_stream_reference, no_value_reference
 
 CUT = cut_family()
 HALF = Fraction(1, 2)
@@ -383,6 +389,64 @@ def test_construct_yes_no_falsifier_never_beats_optimum():
             for seed in range(3):
                 bound, _ = no_sup_search(no_dist, budget=80, seed=seed)
                 assert bound <= report.csp_value
+
+
+@st.composite
+def yes_no_cases(draw):
+    """(instance, solution) over 1-2 random predicates, q <= 3, k <= 3, weights
+    1-3, n <= k + 2: the relaxation's optimum, a point mass or a one-wise solution."""
+    q = draw(st.sampled_from((2, 3)), label="q")
+    k = draw(st.integers(1, 3), label="k")
+    kind = draw(st.sampled_from(["lp", "point", "onewise"]), label="kind")
+    tables = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=q**k, max_size=q**k), min_size=1, max_size=2
+    ), label="tables")
+    if kind == "onewise":  # the constant tuples have uniform marginals
+        constant = {a * (q**k - 1) // (q - 1) for a in range(q)}
+        tables = [[int(r in constant or bit) for r, bit in enumerate(t)] for t in tables]
+    fam = PredicateFamily(tuple(
+        Predicate(q, k, f"p{i}", tuple(table)) for i, table in enumerate(tables)
+    ))
+    n = draw(st.integers(k, k + 2), label="n")
+    inst = Instance(fam, n, draw(st.lists(st.builds(
+        Constraint,
+        st.sampled_from(fam.names),
+        st.permutations(range(1, n + 1)).map(lambda order: tuple(order[:k])),
+        st.integers(1, 3),
+    ), min_size=1, max_size=4), label="constraints"))
+    if kind == "lp":
+        return inst, solve_basic_lp(inst)
+    if kind == "point":
+        return inst, point_mass_solution(inst, draw(st.lists(
+            st.integers(0, q - 1), min_size=n, max_size=n
+        ), label="assignment"))
+    return inst, lp_from_onewise(inst, {p.name: onewise_support(p).witness for p in fam.predicates})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=yes_no_cases())
+def test_construct_yes_no_equals_the_fraction_reference(case):
+    """The integer sums give the `Fraction` pair, atom for atom and in the same order."""
+    inst, sol = case
+    pair = construct_yes_no(inst, sol)
+    reference = construct_yes_no_reference(inst, sol)
+    assert pair == reference
+    assert [list(dist.atoms()) for dist in pair] == [list(dist.atoms()) for dist in reference]
+
+
+def test_construct_yes_no_and_canonical_dumps_leave_no_garbage_cycles():
+    """Neither leaves a reference cycle (a recursive closure would, one per
+    call), so a run's memory does not wait on the cyclic collector."""
+    report = gap_report(cycle_instance(5))
+    cert = search.certificate_to_dict(search.build_certificate(report, 1, Fraction(4, 5)))
+    gc.collect()
+    gc.disable()
+    try:
+        construct_yes_no(report.instance, report.lp_witness)
+        canonical_dumps(cert)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_construct_yes_no_rejects_invalid_solution():
